@@ -82,9 +82,29 @@ Real activate_grad(Real x, Activation a) {
   return 1.0;
 }
 
-void apply_activation(Matrix& m, Activation a) {
-  for (Real& v : m.data()) {
-    v = activate(v, a);
+namespace {
+template <Activation A>
+void apply_each(std::span<Real> values) {
+  for (Real& v : values) {
+    v = activate(v, A);
+  }
+}
+}  // namespace
+
+void apply_activation(std::span<Real> values, Activation a) {
+  // One switch per call, not per element: each loop body is then
+  // branch-free and the ReLU select vectorizes.
+  switch (a) {
+    case Activation::kIdentity:
+      return;
+    case Activation::kRelu:
+      return apply_each<Activation::kRelu>(values);
+    case Activation::kLeakyRelu:
+      return apply_each<Activation::kLeakyRelu>(values);
+    case Activation::kTanh:
+      return apply_each<Activation::kTanh>(values);
+    case Activation::kSigmoid:
+      return apply_each<Activation::kSigmoid>(values);
   }
 }
 

@@ -1,6 +1,7 @@
 // Element-wise activation functions and their derivatives.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "common/types.hpp"
@@ -22,8 +23,8 @@ Real activate(Real x, Activation a);
 /// Derivative dσ/dx at pre-activation x.
 Real activate_grad(Real x, Activation a);
 
-/// In-place element-wise application to a matrix.
-void apply_activation(Matrix& m, Activation a);
+/// In-place element-wise application, e.g. to a matrix's data().
+void apply_activation(std::span<Real> values, Activation a);
 
 /// Element-wise derivative matrix evaluated at pre-activations `z`.
 Matrix activation_gradient(const Matrix& z, Activation a);

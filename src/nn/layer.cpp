@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace ppdl::nn {
 
@@ -33,7 +34,7 @@ Matrix DenseLayer::forward_into(const Matrix& x, Matrix& preact) const {
     }
   }
   preact = z;
-  apply_activation(z, activation_);
+  apply_activation(z.data(), activation_);
   return z;
 }
 
@@ -46,18 +47,6 @@ Matrix DenseLayer::forward(const Matrix& x, bool train) {
     has_cache_ = true;
   }
   return a;
-}
-
-Matrix DenseLayer::apply(const Matrix& x) const {
-  PPDL_REQUIRE(x.cols() == weights_.rows(), "layer apply: shape mismatch");
-  Matrix z = x.multiply(weights_);
-  for (Index r = 0; r < z.rows(); ++r) {
-    for (Index c = 0; c < z.cols(); ++c) {
-      z(r, c) += bias_(0, c);
-    }
-  }
-  apply_activation(z, activation_);
-  return z;
 }
 
 Matrix DenseLayer::backward_into(const Matrix& grad_out, const Matrix& x,
@@ -100,7 +89,31 @@ Matrix DenseLayer::backward_into(const Matrix& grad_out, const Matrix& x,
     }
     grad_b(0, c) += acc;
   }
-  return delta.multiply(weights_.transposed());
+  // Same j order, zero-skip and row-parallel grain as delta.multiply(Wᵀ),
+  // without copying Wᵀ. Each row belongs to one chunk, so the bits do not
+  // depend on the thread count.
+  const Index n_in = weights_.rows();
+  const Index n_out = weights_.cols();
+  const Real* w = weights_.data().data();
+  Matrix dx(delta.rows(), n_in);
+  constexpr Index kTargetFlopsPerChunk = 65536;
+  const Index grain =
+      std::max<Index>(1, kTargetFlopsPerChunk / std::max<Index>(1, n_in * n_out));
+  parallel::for_range(delta.rows(), grain, [&](Index begin, Index end) {
+    for (Index r = begin; r < end; ++r) {
+      const Real* dr = delta.data().data() + r * n_out;
+      Real* xr = dx.data().data() + r * n_in;
+      for (Index j = 0; j < n_out; ++j) {
+        if (dr[j] == 0.0) {
+          continue;
+        }
+        for (Index i = 0; i < n_in; ++i) {
+          xr[i] += dr[j] * w[i * n_out + j];
+        }
+      }
+    }
+  });
+  return dx;
 }
 
 Matrix DenseLayer::backward(const Matrix& grad_out) {

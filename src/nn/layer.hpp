@@ -21,9 +21,6 @@ class DenseLayer {
   /// Forward pass; caches input and pre-activations when `train` is true.
   Matrix forward(const Matrix& x, bool train);
 
-  /// Inference-only forward pass: no caching, usable on const models.
-  Matrix apply(const Matrix& x) const;
-
   /// Backward pass for the cached batch: takes dL/dy, fills dL/dW and dL/db,
   /// returns dL/dx. Must follow a forward(…, /*train=*/true).
   Matrix backward(const Matrix& grad_out);

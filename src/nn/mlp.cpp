@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/parallel.hpp"
 
 namespace ppdl::nn {
 
@@ -48,13 +50,104 @@ Matrix Mlp::forward(const Matrix& x, bool train) {
   return h;
 }
 
+namespace {
+
+/// Rows per inference block. A constant, so the block split (and the
+/// chunking) depends only on the row count.
+constexpr Index kBlockRows = 64;
+
+/// Two doubles in one 128-bit vector register (a GCC/Clang vector
+/// extension). Its + and × are the scalar IEEE operations lane by lane, so
+/// a tile computes exactly what scalar code would, two rows at a time.
+typedef Real Pair __attribute__((vector_size(2 * sizeof(Real))));
+
+/// Row pairs per register tile: eight independent sums hide the add
+/// latency and fit the 16 vector registers with room to spare.
+constexpr Index kTilePairs = 8;
+/// Rows per register tile. A short last block is computed to a multiple of
+/// this; the padding rows start zeroed, stay finite and are never copied
+/// out.
+constexpr Index kTileRows = 2 * kTilePairs;
+
+/// Pre-activations of one layer over one block of feature-major
+/// activations (`in[k * kBlockRows + r]`): out = in · W + b, one output
+/// column and kTileRows rows at a time with the accumulators in registers.
+/// Each output starts at +0.0, adds in[k]·W[k][j] for k ascending, then the
+/// bias — the order of DenseMatrix::multiply plus the bias pass, so the
+/// bits match it. That loop skips zero inputs; this one adds their ±0
+/// products, which is exact for finite weights: an accumulator that starts
+/// at +0.0 never becomes −0.0 in round-to-nearest, and adding ±0 to
+/// anything else leaves it unchanged.
+void affine_block(const DenseLayer& layer, const Real* in, Real* out,
+                  Index padded) {
+  const Index n_in = layer.in_features();
+  const Index n_out = layer.out_features();
+  const Real* w = layer.weights().data().data();
+  const Real* b = layer.bias().data().data();
+  for (Index j = 0; j < n_out; ++j) {
+    const Pair bias = {b[j], b[j]};
+    for (Index r0 = 0; r0 < padded; r0 += kTileRows) {
+      Pair acc[kTilePairs] = {};
+      for (Index k = 0; k < n_in; ++k) {
+        Pair a[kTilePairs];
+        std::memcpy(a, in + k * kBlockRows + r0, sizeof a);
+        const Pair wkj = {w[k * n_out + j], w[k * n_out + j]};
+        for (Index p = 0; p < kTilePairs; ++p) {
+          acc[p] += a[p] * wkj;
+        }
+      }
+      for (Index p = 0; p < kTilePairs; ++p) {
+        const Pair z = acc[p] + bias;
+        std::memcpy(out + j * kBlockRows + r0 + 2 * p, &z, sizeof z);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Matrix Mlp::predict(const Matrix& x) const {
   PPDL_REQUIRE(x.cols() == config_.inputs, "MLP predict: input size mismatch");
-  Matrix h = x;
+  Index widest = config_.inputs;
   for (const DenseLayer& layer : layers_) {
-    h = layer.apply(h);
+    widest = std::max(widest, layer.out_features());
   }
-  return h;
+  const Index n_in = config_.inputs;
+  const Index n_out = config_.outputs;
+  Matrix y(x.rows(), n_out);
+  const Real* xd = x.data().data();
+  Real* yd = y.data().data();
+  // Each block runs through every layer in two ping-pong buffers, so no
+  // N×width intermediate is ever allocated.
+  parallel::for_range(x.rows(), kBlockRows, [&](Index begin, Index end) {
+    const Index rows = end - begin;
+    const Index padded = (rows + kTileRows - 1) / kTileRows * kTileRows;
+    std::vector<Real> in(static_cast<std::size_t>(widest * kBlockRows));
+    std::vector<Real> out(in.size());
+    for (Index r = 0; r < rows; ++r) {
+      for (Index k = 0; k < n_in; ++k) {
+        in[static_cast<std::size_t>(k * kBlockRows + r)] =
+            xd[(begin + r) * n_in + k];
+      }
+    }
+    for (const DenseLayer& layer : layers_) {
+      affine_block(layer, in.data(), out.data(), padded);
+      // σ in a pass of its own: inside the tile, the ReLU select compiles
+      // to a branch per element. Rows past `padded` are never read.
+      apply_activation(
+          {out.data(),
+           static_cast<std::size_t>(layer.out_features() * kBlockRows)},
+          layer.activation());
+      in.swap(out);
+    }
+    for (Index r = 0; r < rows; ++r) {
+      for (Index j = 0; j < n_out; ++j) {
+        yd[(begin + r) * n_out + j] =
+            in[static_cast<std::size_t>(j * kBlockRows + r)];
+      }
+    }
+  });
+  return y;
 }
 
 void Mlp::backward(const Matrix& grad_output) {

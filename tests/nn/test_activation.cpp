@@ -64,7 +64,7 @@ TEST(Activation, ApplyTransformsWholeMatrix) {
   m(0, 1) = 2.0;
   m(1, 0) = -3.0;
   m(1, 1) = 0.0;
-  apply_activation(m, Activation::kRelu);
+  apply_activation(m.data(), Activation::kRelu);
   EXPECT_DOUBLE_EQ(m(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(m(1, 0), 0.0);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "nn/layer.hpp"
@@ -46,18 +48,44 @@ TEST(Layer, ForwardComputesAffinePlusActivation) {
   EXPECT_DOUBLE_EQ(y(0, 0), 2.0 * 3.0 - 4.0 + 0.5);
 }
 
-TEST(Layer, ApplyMatchesForward) {
+TEST(Layer, ForwardIntoMatchesForward) {
   Rng rng(3);
   DenseLayer layer(4, 3, Activation::kTanh, rng);
   const Matrix x = random_matrix(5, 4, rng);
   DenseLayer copy = layer;
   const Matrix a = copy.forward(x, false);
-  const Matrix b = layer.apply(x);
+  Matrix preact;
+  const Matrix b = layer.forward_into(x, preact);
   for (Index r = 0; r < a.rows(); ++r) {
     for (Index c = 0; c < a.cols(); ++c) {
       EXPECT_DOUBLE_EQ(a(r, c), b(r, c));
     }
   }
+}
+
+TEST(Layer, BackwardIntoInputGradientIsDeltaTimesWeightsTransposed) {
+  Rng rng(6);
+  DenseLayer layer(5, 7, Activation::kRelu, rng);
+  // Enough rows for several row-parallel chunks (about 1,900 rows each).
+  const Matrix x = random_matrix(4000, 5, rng);
+  const Matrix grad_out = random_matrix(4000, 7, rng);
+  Matrix preact;
+  layer.forward_into(x, preact);
+  Matrix grad_w(5, 7);
+  Matrix grad_b(1, 7);
+  const Matrix dx = layer.backward_into(grad_out, x, preact, grad_w, grad_b);
+
+  // ReLU zeros in δ exercise the zero-skip both products share.
+  Matrix delta = activation_gradient(preact, Activation::kRelu);
+  for (std::size_t i = 0; i < delta.data().size(); ++i) {
+    delta.data()[i] *= grad_out.data()[i];
+  }
+  const Matrix expected = delta.multiply(layer.weights().transposed());
+  ASSERT_EQ(dx.rows(), expected.rows());
+  ASSERT_EQ(dx.cols(), expected.cols());
+  EXPECT_EQ(std::memcmp(dx.data().data(), expected.data().data(),
+                        dx.data().size_bytes()),
+            0);
 }
 
 TEST(Layer, BackwardRequiresForwardCache) {

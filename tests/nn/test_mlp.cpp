@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "nn/loss.hpp"
@@ -7,6 +10,17 @@
 
 namespace ppdl::nn {
 namespace {
+
+/// Exact equality of shape and every byte: ±0 and NaN payloads count.
+void expect_bitwise_equal(const Matrix& a, const Matrix& b) {
+  ASSERT_EQ(a.rows(), b.rows());
+  ASSERT_EQ(a.cols(), b.cols());
+  if (!a.data().empty()) {
+    EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                          a.data().size_bytes()),
+              0);
+  }
+}
 
 TEST(MlpConfig, PaperDefaultHasTenHiddenLayers) {
   const MlpConfig c = MlpConfig::paper_default();
@@ -59,12 +73,88 @@ TEST(Mlp, PredictConstMatchesForward) {
   }
   const Matrix a = mlp.forward(x, false);
   const Mlp& view = mlp;
-  const Matrix b = view.predict(x);
-  for (Index r = 0; r < a.rows(); ++r) {
-    for (Index col = 0; col < a.cols(); ++col) {
-      EXPECT_DOUBLE_EQ(a(r, col), b(r, col));
+  expect_bitwise_equal(a, view.predict(x));
+}
+
+/// The reference for Mlp::predict: DenseLayer::forward_into chained layer
+/// by layer.
+Matrix chained_forward_into(const Mlp& mlp, const Matrix& x) {
+  Matrix h = x;
+  Matrix preact;
+  for (Index l = 0; l < mlp.layer_count(); ++l) {
+    h = mlp.layer(l).forward_into(h, preact);
+  }
+  return h;
+}
+
+/// Standard-normal rows with exact +0.0 and −0.0 entries mixed in.
+Matrix signed_zero_rich_input(Index rows, Index cols, U64 seed) {
+  Matrix x(rows, cols);
+  Rng rng(seed);
+  for (Real& v : x.data()) {
+    const Real u = rng.uniform(0.0, 1.0);
+    v = u < 0.1 ? 0.0 : (u < 0.2 ? -0.0 : rng.normal());
+  }
+  return x;
+}
+
+const Index kRowCounts[] = {0, 1, 63, 64, 65, 1000};
+
+class MlpPredictBitwise : public ::testing::TestWithParam<Activation> {};
+
+TEST_P(MlpPredictBitwise, UnevenWidthsMatchChainedForwardInto) {
+  MlpConfig c;
+  c.inputs = 3;
+  c.outputs = 2;
+  c.hidden = {7, 16, 33};
+  c.hidden_activation = GetParam();
+  c.output_activation = GetParam();
+  Rng rng(21);
+  Mlp mlp(c, rng);
+  // Biases start at zero, which would hide a bias added out of order.
+  for (Index l = 0; l < mlp.layer_count(); ++l) {
+    for (Real& b : mlp.layer(l).bias().data()) {
+      b = rng.normal();
     }
   }
+  for (const Index n : kRowCounts) {
+    SCOPED_TRACE(n);
+    const Matrix x = signed_zero_rich_input(n, c.inputs, 22);
+    expect_bitwise_equal(chained_forward_into(mlp, x), mlp.predict(x));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Activations, MlpPredictBitwise,
+                         ::testing::Values(Activation::kIdentity,
+                                           Activation::kRelu,
+                                           Activation::kLeakyRelu,
+                                           Activation::kTanh,
+                                           Activation::kSigmoid),
+                         [](const auto& param_info) {
+                           return to_string(param_info.param);
+                         });
+
+TEST(MlpPredictBitwise, ReluHeavyPaperArchitecture) {
+  Rng rng(23);
+  Mlp mlp(MlpConfig::paper_default(3, 1, 10, 16), rng);
+  // Negative hidden biases push most pre-activations below zero, so most
+  // hidden activations are exactly 0.
+  for (Index l = 0; l + 1 < mlp.layer_count(); ++l) {
+    for (Real& b : mlp.layer(l).bias().data()) {
+      b = -1.0;
+    }
+  }
+  for (const Index n : kRowCounts) {
+    SCOPED_TRACE(n);
+    const Matrix x = signed_zero_rich_input(n, 3, 24);
+    expect_bitwise_equal(chained_forward_into(mlp, x), mlp.predict(x));
+  }
+
+  const Matrix x = signed_zero_rich_input(1000, 3, 24);
+  Matrix preact;
+  const Matrix h = mlp.layer(0).forward_into(x, preact);
+  const auto zeros = std::count(h.data().begin(), h.data().end(), 0.0);
+  EXPECT_GT(2 * zeros, static_cast<std::ptrdiff_t>(h.data().size()));
 }
 
 TEST(Mlp, DeterministicInitForSeed) {
