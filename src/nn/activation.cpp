@@ -89,6 +89,13 @@ void apply_each(std::span<Real> values) {
     v = activate(v, A);
   }
 }
+
+template <Activation A>
+void gradient_each(std::span<const Real> z, std::span<Real> grad) {
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    grad[i] = activate_grad(z[i], A);
+  }
+}
 }  // namespace
 
 void apply_activation(std::span<Real> values, Activation a) {
@@ -108,13 +115,27 @@ void apply_activation(std::span<Real> values, Activation a) {
   }
 }
 
+void activation_gradient(std::span<const Real> z, std::span<Real> grad,
+                         Activation a) {
+  PPDL_REQUIRE(z.size() == grad.size(), "activation_gradient: size mismatch");
+  // One switch per call, as in apply_activation.
+  switch (a) {
+    case Activation::kIdentity:
+      return gradient_each<Activation::kIdentity>(z, grad);
+    case Activation::kRelu:
+      return gradient_each<Activation::kRelu>(z, grad);
+    case Activation::kLeakyRelu:
+      return gradient_each<Activation::kLeakyRelu>(z, grad);
+    case Activation::kTanh:
+      return gradient_each<Activation::kTanh>(z, grad);
+    case Activation::kSigmoid:
+      return gradient_each<Activation::kSigmoid>(z, grad);
+  }
+}
+
 Matrix activation_gradient(const Matrix& z, Activation a) {
   Matrix g(z.rows(), z.cols());
-  const auto src = z.data();
-  auto dst = g.data();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = activate_grad(src[i], a);
-  }
+  activation_gradient(z.data(), g.data(), a);
   return g;
 }
 

@@ -26,6 +26,11 @@ Real activate_grad(Real x, Activation a);
 /// In-place element-wise application, e.g. to a matrix's data().
 void apply_activation(std::span<Real> values, Activation a);
 
+/// Element-wise derivative at pre-activations: grad[i] = σ'(z[i]). One
+/// switch per call, not per element. `grad` may be `z` itself.
+void activation_gradient(std::span<const Real> z, std::span<Real> grad,
+                         Activation a);
+
 /// Element-wise derivative matrix evaluated at pre-activations `z`.
 Matrix activation_gradient(const Matrix& z, Activation a);
 

@@ -61,7 +61,8 @@ Matrix DenseLayer::backward_into(const Matrix& grad_out, const Matrix& x,
                "layer backward: gradient buffer shape mismatch");
 
   // δ = grad_out ⊙ σ'(z)
-  Matrix delta = activation_gradient(preact, activation_);
+  Matrix delta(preact.rows(), preact.cols());
+  activation_gradient(preact.data(), delta.data(), activation_);
   {
     auto d = delta.data();
     const auto g = grad_out.data();

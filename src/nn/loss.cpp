@@ -32,6 +32,34 @@ Loss parse_loss(const std::string& name) {
   return Loss::kMse;  // unreachable
 }
 
+Real loss_term(Real d, Loss loss, Real huber_delta) {
+  switch (loss) {
+    case Loss::kMse:
+      return d * d;
+    case Loss::kMae:
+      return std::abs(d);
+    case Loss::kHuber: {
+      const Real ad = std::abs(d);
+      return (ad <= huber_delta) ? 0.5 * d * d
+                                 : huber_delta * (ad - 0.5 * huber_delta);
+    }
+  }
+  return d * d;
+}
+
+Real loss_term_gradient(Real d, Loss loss, Real huber_delta) {
+  switch (loss) {
+    case Loss::kMse:
+      return 2.0 * d;
+    case Loss::kMae:
+      return d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0);
+    case Loss::kHuber:
+      return std::abs(d) <= huber_delta ? d
+                                        : huber_delta * (d > 0.0 ? 1.0 : -1.0);
+  }
+  return 2.0 * d;
+}
+
 Real loss_value(const Matrix& pred, const Matrix& target, Loss loss,
                 Real huber_delta) {
   PPDL_REQUIRE(pred.rows() == target.rows() && pred.cols() == target.cols(),
@@ -41,21 +69,7 @@ Real loss_value(const Matrix& pred, const Matrix& target, Loss loss,
   PPDL_REQUIRE(!p.empty(), "loss of empty matrices");
   Real acc = 0.0;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    const Real d = p[i] - t[i];
-    switch (loss) {
-      case Loss::kMse:
-        acc += d * d;
-        break;
-      case Loss::kMae:
-        acc += std::abs(d);
-        break;
-      case Loss::kHuber: {
-        const Real ad = std::abs(d);
-        acc += (ad <= huber_delta) ? 0.5 * d * d
-                                   : huber_delta * (ad - 0.5 * huber_delta);
-        break;
-      }
-    }
+    acc += loss_term(p[i] - t[i], loss, huber_delta);
   }
   return acc / static_cast<Real>(p.size());
 }
@@ -70,21 +84,7 @@ Matrix loss_gradient(const Matrix& pred, const Matrix& target, Loss loss,
   auto g = grad.data();
   const Real inv_n = 1.0 / static_cast<Real>(p.size());
   for (std::size_t i = 0; i < p.size(); ++i) {
-    const Real d = p[i] - t[i];
-    switch (loss) {
-      case Loss::kMse:
-        g[i] = 2.0 * d * inv_n;
-        break;
-      case Loss::kMae:
-        g[i] = (d > 0.0 ? 1.0 : (d < 0.0 ? -1.0 : 0.0)) * inv_n;
-        break;
-      case Loss::kHuber:
-        g[i] = (std::abs(d) <= huber_delta
-                    ? d
-                    : huber_delta * (d > 0.0 ? 1.0 : -1.0)) *
-               inv_n;
-        break;
-    }
+    g[i] = loss_term_gradient(p[i] - t[i], loss, huber_delta) * inv_n;
   }
   return grad;
 }

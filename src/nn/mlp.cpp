@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <utility>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -179,34 +178,195 @@ Mlp::GradientBuffers Mlp::make_gradient_buffers() const {
   return buffers;
 }
 
-void Mlp::accumulate_gradients(const Matrix& x, const Matrix& y, Loss loss,
+namespace {
+
+/// The operand row that stands in for a skipped one: longer than any tile.
+alignas(16) constexpr Real kZeroRow[kTileRows] = {};
+
+/// out[j] += Σ_k s_k · m_k[j] over one tile of kVecs·(lanes of V) outputs,
+/// k ascending from 0 to `count`, where s_k = s[k * s_stride] and m_k is
+/// row k of `m` (leading dimension `ld`). The tile's sums stay in
+/// registers across the k loop. Where s_k == 0 the layer-by-layer path
+/// skips the whole row; here m_k is swapped for kZeroRow instead, so no
+/// branch depends on the data and the ±0 product adds nothing. Unlike
+/// predict's tile (which adds s_k · m_k[j] = ±0 · m_k[j]) this stays exact
+/// when m_k holds inf or NaN, whose product with 0 is NaN. V is Real or
+/// Pair; `s_k * v` broadcasts s_k over a Pair's lanes.
+template <typename V, std::size_t kVecs>
+void accumulate_tile(Real* out, const Real* s, Index s_stride, Index count,
+                     const Real* m, Index ld) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(Real);
+  V acc[kVecs];
+  std::memcpy(acc, out, sizeof acc);
+  for (Index k = 0; k < count; ++k) {
+    const Real sk = s[k * s_stride];
+    const Real* const candidates[2] = {m + k * ld, kZeroRow};
+    const Real* row = candidates[sk == 0.0];
+    for (std::size_t p = 0; p < kVecs; ++p) {
+      V v;
+      std::memcpy(&v, row + p * kLanes, sizeof v);
+      acc[p] += sk * v;
+    }
+  }
+  std::memcpy(out, acc, sizeof acc);
+}
+
+/// accumulate_tile over out[0, n): full 16-lane tiles, then one lane at a
+/// time (every product of the paper's net is 16 or 1 wide). Each out[j] sees
+/// the same sequence of additions whatever tile it falls in.
+void accumulate_products(Real* out, Index n, const Real* s, Index s_stride,
+                         Index count, const Real* m, Index ld) {
+  Index j = 0;
+  for (; j + kTileRows <= n; j += kTileRows) {
+    accumulate_tile<Pair, kTilePairs>(out + j, s, s_stride, count, m + j, ld);
+  }
+  for (; j < n; ++j) {
+    accumulate_tile<Real, 1>(out + j, s, s_stride, count, m + j, ld);
+  }
+}
+
+}  // namespace
+
+void Mlp::accumulate_gradients(const Matrix& x, const Matrix& y,
+                               std::span<const Index> rows, Loss loss,
                                Real delta_scale, GradientBuffers& out) const {
   PPDL_REQUIRE(x.cols() == config_.inputs,
                "accumulate_gradients: input size mismatch");
+  PPDL_REQUIRE(y.rows() == x.rows() && y.cols() == config_.outputs,
+               "accumulate_gradients: target shape mismatch");
+  PPDL_REQUIRE(!rows.empty(), "accumulate_gradients: no rows");
   PPDL_REQUIRE(out.weight_grads.size() == layers_.size() &&
                    out.bias_grads.size() == layers_.size(),
                "accumulate_gradients: buffer layer count mismatch");
-  const std::size_t n_layers = layers_.size();
-  std::vector<Matrix> inputs;
-  inputs.reserve(n_layers);
-  std::vector<Matrix> preacts(n_layers);
-  Matrix a = x;
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    Matrix next = layers_[l].forward_into(a, preacts[l]);
-    inputs.push_back(std::move(a));
-    a = std::move(next);
+  const Index n_rows = static_cast<Index>(rows.size());
+
+  // Scratch: the input rows, then (z, σ(z)) per layer, each n_rows × width
+  // and row-major, so a layer's input sits just before its z. After them
+  // come the upstream gradient and Wᵀ.
+  Index widest = config_.inputs;
+  Index largest = 0;
+  Index slots = config_.inputs;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const DenseLayer& layer = layers_[l];
+    PPDL_REQUIRE(out.weight_grads[l].rows() == layer.in_features() &&
+                     out.weight_grads[l].cols() == layer.out_features() &&
+                     out.bias_grads[l].cols() == layer.out_features(),
+                 "accumulate_gradients: buffer shape mismatch");
+    widest = std::max(widest, layer.out_features());
+    largest = std::max(largest, layer.in_features() * layer.out_features());
+    slots += 2 * layer.out_features();
   }
-  out.loss_sum += loss_value(a, y, loss) *
-                  static_cast<Real>(a.rows() * a.cols());
-  Matrix delta = loss_gradient(a, y, loss);
-  if (delta_scale != 1.0) {
-    for (Real& d : delta.data()) {
-      d *= delta_scale;
+  const auto need =
+      static_cast<std::size_t>(n_rows * (slots + widest) + largest);
+  if (out.scratch.size() < need) {
+    out.scratch.resize(need);
+  }
+  Real* slot = out.scratch.data();
+
+  const Index n_inputs = config_.inputs;
+  const Real* xd = x.data().data();
+  for (Index r = 0; r < n_rows; ++r) {
+    const Index row = rows[static_cast<std::size_t>(r)];
+    PPDL_REQUIRE(row >= 0 && row < x.rows(),
+                 "accumulate_gradients: row index out of range");
+    std::copy(xd + row * n_inputs, xd + (row + 1) * n_inputs,
+              slot + r * n_inputs);
+  }
+
+  // Forward: z = x · W from +0.0 over inputs ascending, then + b; then σ.
+  const Real* a_in = slot;
+  slot += n_rows * n_inputs;
+  for (const DenseLayer& layer : layers_) {
+    const Index n_in = layer.in_features();
+    const Index n_out = layer.out_features();
+    const Real* w = layer.weights().data().data();
+    const Real* b = layer.bias().data().data();
+    Real* z = slot;
+    Real* a = z + n_rows * n_out;
+    std::fill(z, a, 0.0);
+    for (Index r = 0; r < n_rows; ++r) {
+      Real* zr = z + r * n_out;
+      accumulate_products(zr, n_out, a_in + r * n_in, 1, n_in, w, n_out);
+      for (Index j = 0; j < n_out; ++j) {
+        zr[j] += b[j];
+      }
+    }
+    std::copy(z, a, a);
+    apply_activation({a, static_cast<std::size_t>(n_rows * n_out)},
+                     layer.activation());
+    a_in = a;
+    slot = a + n_rows * n_out;
+  }
+
+  // Loss over the rows in order, as loss_value and loss_gradient see the
+  // gathered batch; its gradient seeds the upstream buffer.
+  const Index n_outputs = config_.outputs;
+  const Real elems = static_cast<Real>(n_rows * n_outputs);
+  const Real inv_n = 1.0 / elems;
+  const Real* yd = y.data().data();
+  Real* grad = slot;
+  Real loss_acc = 0.0;
+  for (Index r = 0; r < n_rows; ++r) {
+    const Real* yr = yd + rows[static_cast<std::size_t>(r)] * n_outputs;
+    for (Index c = 0; c < n_outputs; ++c) {
+      const Real d = a_in[r * n_outputs + c] - yr[c];
+      loss_acc += loss_term(d, loss);
+      Real& g = grad[r * n_outputs + c];
+      g = loss_term_gradient(d, loss) * inv_n;
+      if (delta_scale != 1.0) {
+        g *= delta_scale;
+      }
     }
   }
-  for (std::size_t l = n_layers; l-- > 0;) {
-    delta = layers_[l].backward_into(delta, inputs[l], preacts[l],
-                                     out.weight_grads[l], out.bias_grads[l]);
+  out.loss_sum += loss_acc / elems * elems;
+
+  // Backward, last layer first. δ = σ'(z) ⊙ grad overwrites z; then
+  // dW += xᵀδ over rows ascending, db += Σ_r δ from +0.0, and (except for
+  // the first layer, whose dx nobody reads) grad = δ Wᵀ from +0.0 over
+  // outputs ascending.
+  Real* wt = grad + n_rows * widest;
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    const DenseLayer& layer = layers_[l];
+    const Index n_in = layer.in_features();
+    const Index n_out = layer.out_features();
+    Real* delta = slot - 2 * n_rows * n_out;
+    const Real* a_prev = delta - n_rows * n_in;
+    slot = delta;
+    const std::span<Real> deltas(delta,
+                                 static_cast<std::size_t>(n_rows * n_out));
+    activation_gradient(deltas, deltas, layer.activation());
+    for (Index i = 0; i < n_rows * n_out; ++i) {
+      delta[i] *= grad[i];
+    }
+
+    Real* dw = out.weight_grads[l].data().data();
+    for (Index i = 0; i < n_in; ++i) {
+      accumulate_products(dw + i * n_out, n_out, a_prev + i, n_in, n_rows,
+                          delta, n_out);
+    }
+    Real* db = out.bias_grads[l].data().data();
+    for (Index j = 0; j < n_out; ++j) {
+      Real acc = 0.0;
+      for (Index r = 0; r < n_rows; ++r) {
+        acc += delta[r * n_out + j];
+      }
+      db[j] += acc;
+    }
+    if (l == 0) {
+      break;
+    }
+
+    const Real* w = layer.weights().data().data();
+    for (Index i = 0; i < n_in; ++i) {
+      for (Index j = 0; j < n_out; ++j) {
+        wt[j * n_in + i] = w[i * n_out + j];
+      }
+    }
+    std::fill(grad, grad + n_rows * n_in, 0.0);
+    for (Index r = 0; r < n_rows; ++r) {
+      accumulate_products(grad + r * n_in, n_in, delta + r * n_out, 1, n_out,
+                          wt, n_in);
+    }
   }
 }
 

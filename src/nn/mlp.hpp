@@ -4,6 +4,7 @@
 // Hidden layers use ReLU, the output layer is linear (regression).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -52,19 +53,27 @@ class Mlp {
     /// Σ of per-element loss terms over the rows seen (un-normalized, so
     /// sub-batch sums combine exactly).
     Real loss_sum = 0.0;
+    /// accumulate_gradients' working memory: the chunk's input rows,
+    /// pre-activations and activations of every layer, the upstream
+    /// gradient and one transposed weight matrix. Sized on first use and
+    /// reused, so a buffer serves one call at a time.
+    std::vector<Real> scratch;
 
     /// Re-zeroes the buffers for the next batch (shapes kept).
     void clear();
   };
   GradientBuffers make_gradient_buffers() const;
 
-  /// Forward + backward over the sub-batch (x, y) without touching any
+  /// Forward + backward over rows `rows` of (x, y) without touching any
   /// member cache or gradient state — const, so several sub-batches can
   /// run concurrently against the same weights. Accumulates (+=) into
   /// `out`. `delta_scale` rescales the loss gradient (loss_gradient()
   /// normalizes by the sub-batch element count; pass sub_elems/batch_elems
-  /// to recover gradients of the whole-batch mean).
-  void accumulate_gradients(const Matrix& x, const Matrix& y, Loss loss,
+  /// to recover gradients of the whole-batch mean). The result is bitwise
+  /// that of forward_into()/backward_into() chained over the gathered rows
+  /// when `out` starts from make_gradient_buffers() or clear().
+  void accumulate_gradients(const Matrix& x, const Matrix& y,
+                            std::span<const Index> rows, Loss loss,
                             Real delta_scale, GradientBuffers& out) const;
 
   /// Adds `from`'s buffers into this model's gradient slots (+=). Called

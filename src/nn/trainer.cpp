@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/obs.hpp"
@@ -33,16 +34,6 @@ void record_train_outcome(const TrainHistory& history) {
 }
 
 }  // namespace
-
-Matrix slice_rows(const Matrix& m, Index begin, Index end) {
-  PPDL_REQUIRE(begin >= 0 && begin <= end && end <= m.rows(),
-               "slice_rows: bad range");
-  Matrix out(end - begin, m.cols());
-  for (Index r = begin; r < end; ++r) {
-    std::copy(m.row(r).begin(), m.row(r).end(), out.row(r - begin).begin());
-  }
-  return out;
-}
 
 Matrix gather_rows(const Matrix& m, const std::vector<Index>& rows) {
   Matrix out(static_cast<Index>(rows.size()), m.cols());
@@ -132,7 +123,8 @@ TrainHistory train(Mlp& model, const Matrix& x, const Matrix& y,
   // its own gradient buffer, and the buffers are reduced into the model's
   // gradient slots in chunk-index order before the optimizer step. That
   // fixed decomposition + ordered combine is what keeps trained weights
-  // bit-identical across PPDL_THREADS settings.
+  // bit-identical across PPDL_THREADS settings. A chunk reads its rows of
+  // x_train/y_train through batch_order, so batches are never copied.
   constexpr Index kGradRowGrain = 16;
   const Index max_batch_rows = std::min(options.batch_size, train_rows);
   const Index max_chunks = parallel::chunk_count(max_batch_rows,
@@ -156,24 +148,24 @@ TrainHistory train(Mlp& model, const Matrix& x, const Matrix& y,
     bool epoch_diverged = false;
     for (Index start = 0; start < train_rows; start += options.batch_size) {
       const Index stop = std::min(start + options.batch_size, train_rows);
-      std::vector<Index> batch(batch_order.begin() + start,
-                               batch_order.begin() + stop);
-      const Matrix xb = gather_rows(x_train, batch);
-      const Matrix yb = gather_rows(y_train, batch);
+      const std::span<const Index> batch(
+          batch_order.data() + start, static_cast<std::size_t>(stop - start));
 
-      const Index rows = xb.rows();
+      const Index rows = stop - start;
       const Index chunks = parallel::chunk_count(rows, kGradRowGrain);
-      const Real batch_elems = static_cast<Real>(rows * yb.cols());
+      const Real batch_elems = static_cast<Real>(rows * y_train.cols());
       for (Index c = 0; c < chunks; ++c) {
         chunk_grads[static_cast<std::size_t>(c)].clear();
       }
       parallel::for_range(rows, kGradRowGrain, [&](Index b, Index e) {
         const Index chunk = b / kGradRowGrain;
         const Real scale =
-            static_cast<Real>((e - b) * yb.cols()) / batch_elems;
-        model.accumulate_gradients(slice_rows(xb, b, e), slice_rows(yb, b, e),
-                                   options.loss, scale,
-                                   chunk_grads[static_cast<std::size_t>(chunk)]);
+            static_cast<Real>((e - b) * y_train.cols()) / batch_elems;
+        model.accumulate_gradients(
+            x_train, y_train,
+            batch.subspan(static_cast<std::size_t>(b),
+                          static_cast<std::size_t>(e - b)),
+            options.loss, scale, chunk_grads[static_cast<std::size_t>(chunk)]);
       });
       model.zero_gradients();
       Real loss_sum = 0.0;

@@ -68,9 +68,6 @@ struct TrainHistory {
 TrainHistory train(Mlp& model, const Matrix& x, const Matrix& y,
                    const TrainOptions& options = {});
 
-/// Convenience: sliced copy of rows [begin, end) of m.
-Matrix slice_rows(const Matrix& m, Index begin, Index end);
-
 /// Gathers the given rows of m into a new matrix.
 Matrix gather_rows(const Matrix& m, const std::vector<Index>& rows);
 

@@ -155,22 +155,16 @@ TEST(Trainer, RejectsBadInputs) {
   EXPECT_THROW(train(mlp, x, y, o2), ContractViolation);
 }
 
-TEST(Trainer, SliceRowsAndGatherRows) {
+TEST(Trainer, GatherRows) {
   Matrix m(4, 2);
   for (Index r = 0; r < 4; ++r) {
     m(r, 0) = static_cast<Real>(r);
     m(r, 1) = static_cast<Real>(10 * r);
   }
-  const Matrix s = slice_rows(m, 1, 3);
-  EXPECT_EQ(s.rows(), 2);
-  EXPECT_DOUBLE_EQ(s(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(s(1, 1), 20.0);
-
   const Matrix g = gather_rows(m, {3, 0});
   EXPECT_DOUBLE_EQ(g(0, 0), 3.0);
   EXPECT_DOUBLE_EQ(g(1, 0), 0.0);
 
-  EXPECT_THROW(slice_rows(m, 3, 2), ContractViolation);
   EXPECT_THROW(gather_rows(m, {5}), ContractViolation);
 }
 
