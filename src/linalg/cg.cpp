@@ -84,17 +84,23 @@ CgResult conjugate_gradient_impl(const CsrMatrix& a, std::span<const Real> b,
 
   // Element-wise kernels below split into fixed chunks (independent of
   // thread count), so every iterate is bit-identical however many threads
-  // run them.
+  // run them. Short vectors keep them on the calling thread, as the
+  // vector_ops kernels do.
   constexpr Index kVecGrain = 8192;
+  const parallel::ParallelOptions vec_opts{
+      .num_threads = n < kSerialBelowElements ? 1 : 0};
 
   std::vector<Real> r(static_cast<std::size_t>(n));
   a.multiply(result.x, r);
-  parallel::for_range(n, kVecGrain, [&](Index begin, Index end) {
-    for (Index i = begin; i < end; ++i) {
-      const auto iu = static_cast<std::size_t>(i);
-      r[iu] = b[iu] - r[iu];
-    }
-  });
+  parallel::for_range(
+      n, kVecGrain,
+      [&](Index begin, Index end) {
+        for (Index i = begin; i < end; ++i) {
+          const auto iu = static_cast<std::size_t>(i);
+          r[iu] = b[iu] - r[iu];
+        }
+      },
+      {}, vec_opts);
 
   std::vector<Real> z(static_cast<std::size_t>(n));
   precond->apply(r, z);
@@ -166,12 +172,15 @@ CgResult conjugate_gradient_impl(const CsrMatrix& a, std::span<const Real> b,
     const Real rz_next = dot(r, z);
     const Real beta = rz_next / rz;
     rz = rz_next;
-    parallel::for_range(n, kVecGrain, [&](Index begin, Index end) {
-      for (Index i = begin; i < end; ++i) {
-        const auto iu = static_cast<std::size_t>(i);
-        p[iu] = z[iu] + beta * p[iu];
-      }
-    });
+    parallel::for_range(
+        n, kVecGrain,
+        [&](Index begin, Index end) {
+          for (Index i = begin; i < end; ++i) {
+            const auto iu = static_cast<std::size_t>(i);
+            p[iu] = z[iu] + beta * p[iu];
+          }
+        },
+        {}, vec_opts);
   }
   result.status = CgStatus::kMaxIterations;
   return result;

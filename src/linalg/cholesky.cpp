@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "linalg/ordering.hpp"
 
 namespace ppdl::linalg {
 
@@ -19,7 +18,6 @@ SparseCholesky::SparseCholesky(const CsrMatrix& a,
     PPDL_REQUIRE(static_cast<Index>(perm->size()) == n_,
                  "permutation size mismatch");
     perm_ = std::move(*perm);
-    inv_perm_ = invert_permutation(perm_);
     factor(a.permuted_symmetric(perm_), drop_tolerance);
   } else {
     factor(a, drop_tolerance);
@@ -68,8 +66,14 @@ void SparseCholesky::factor(const CsrMatrix& a, Real drop_tolerance) {
   // substitution against the rows stored so far, then threshold and append
   // the row. Entries outside the pattern stay zero in the scatter `w`, so
   // the row-j dot products need no pattern intersection.
+  //
+  // The substitution needs the pattern in ascending order. A parent always
+  // exceeds its child, so each walk yields an ascending path of unclaimed
+  // nodes; merging it into the sorted pattern as it is walked keeps the
+  // pattern sorted without a per-row sort.
   std::vector<Index> mark(static_cast<std::size_t>(n_), -1);
   std::vector<Index> pattern;
+  std::vector<Index> path;
   std::vector<Real> w(static_cast<std::size_t>(n_), 0.0);
   row_ptr_.assign(static_cast<std::size_t>(n_) + 1, 0);
   col_idx_.clear();
@@ -88,13 +92,25 @@ void SparseCholesky::factor(const CsrMatrix& a, Real drop_tolerance) {
         continue;
       }
       w[static_cast<std::size_t>(c)] = vl[static_cast<std::size_t>(k)];
+      path.clear();
       for (Index j = c; j < i && mark[static_cast<std::size_t>(j)] != i;
            j = parent[static_cast<std::size_t>(j)]) {
         mark[static_cast<std::size_t>(j)] = i;
-        pattern.push_back(j);
+        path.push_back(j);
+      }
+      // Merge from the back: only pattern entries above path.front() move.
+      std::size_t kept = pattern.size();
+      std::size_t left = path.size();
+      pattern.resize(kept + left);
+      std::size_t out = pattern.size();
+      while (left > 0) {
+        if (kept > 0 && pattern[kept - 1] > path[left - 1]) {
+          pattern[--out] = pattern[--kept];
+        } else {
+          pattern[--out] = path[--left];
+        }
       }
     }
-    std::sort(pattern.begin(), pattern.end());
 
     Real sumsq = 0.0;
     for (const Index j : pattern) {

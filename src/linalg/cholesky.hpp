@@ -60,9 +60,8 @@ class SparseCholesky {
   std::vector<Index> row_ptr_;
   std::vector<Index> col_idx_;
   std::vector<Real> values_;
-  // Optional permutation (perm_[old] = new) and its inverse.
+  // Optional permutation (perm_[old] = new).
   std::vector<Index> perm_;
-  std::vector<Index> inv_perm_;
 };
 
 }  // namespace ppdl::linalg

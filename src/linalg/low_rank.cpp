@@ -9,10 +9,8 @@
 namespace ppdl::linalg {
 
 CholeskyPreconditioner::CholeskyPreconditioner(
-    const SparseCholesky& factorization, Real drop_tolerance)
+    const SparseCholesky& factorization)
     : factorization_(factorization) {
-  PPDL_REQUIRE(drop_tolerance >= 0.0 && drop_tolerance < 1.0,
-               "frozen-cholesky: drop tolerance must be in [0, 1)");
   const Index n = factorization.dimension();
   const auto rp = factorization.factor_row_ptr();
   const auto ci = factorization.factor_col_idx();
@@ -21,13 +19,11 @@ CholeskyPreconditioner::CholeskyPreconditioner(
   col_idx_.reserve(lv.size());
   values_.reserve(lv.size());
   for (Index i = 0; i < n; ++i) {
-    // Diagonal is last in each row and always kept (L̃ stays nonsingular,
-    // so M = L̃L̃ᵀ stays SPD no matter how aggressively we drop).
+    // Diagonal is last in each row. Off-diagonal zeros (cancellation in an
+    // exact-fill row) contribute nothing to the sweeps and are skipped.
     const Index last = rp[static_cast<std::size_t>(i) + 1] - 1;
-    const Real threshold =
-        drop_tolerance * std::abs(lv[static_cast<std::size_t>(last)]);
     for (Index k = rp[static_cast<std::size_t>(i)]; k < last; ++k) {
-      if (std::abs(lv[static_cast<std::size_t>(k)]) > threshold) {
+      if (lv[static_cast<std::size_t>(k)] != 0.0) {
         col_idx_.push_back(
             static_cast<std::int32_t>(ci[static_cast<std::size_t>(k)]));
         values_.push_back(

@@ -27,24 +27,19 @@ namespace ppdl::linalg {
 
 /// Adapter exposing a SparseCholesky factorization as a CG preconditioner:
 /// apply(r) ≈ A₀⁻¹r against the frozen matrix. The adapter keeps its own
-/// single-precision copy of L (float values, 32-bit indices) and optionally
-/// drops entries with |L(i,j)| ≤ drop_tolerance·|L(i,i)|: the two
+/// single-precision copy of L (float values, 32-bit indices): the two
 /// triangular sweeps are latency-bound indexed walks, so their cost scales
-/// with the entry count, and power-grid factors decay fast enough that
-/// half the entries buy almost no convergence (measured: τ = 1e-4 keeps
-/// ~55 % of L, same CG iteration count on a patched system, ~40 % cheaper
-/// apply). Approximating a preconditioner is harmless — it stays a fixed
-/// near-A₀⁻¹ SPD operator — while exact consumers (Woodbury, the kCholesky
-/// ladder rung) keep using the double factor directly. Non-owning: the
-/// factorization must outlive the preconditioner.
+/// with the entry count, not the value width. Entry dropping happens in
+/// the factorization itself (SparseCholesky's drop tolerance), which also
+/// shrinks the build; the adapter only re-encodes what the factor kept.
+/// Exact consumers (Woodbury, the kCholesky ladder rung) keep using the
+/// double factor directly. Non-owning: the factorization must outlive the
+/// preconditioner.
 class CholeskyPreconditioner final : public Preconditioner {
  public:
-  explicit CholeskyPreconditioner(const SparseCholesky& factorization,
-                                  Real drop_tolerance = 0.0);
+  explicit CholeskyPreconditioner(const SparseCholesky& factorization);
   void apply(std::span<const Real> r, std::span<Real> out) const override;
   const char* name() const override { return "frozen-cholesky"; }
-  /// Entries kept after dropping (≤ factorization.factor_nnz()).
-  Index kept_nnz() const { return static_cast<Index>(values_.size()); }
 
  private:
   const SparseCholesky& factorization_;

@@ -1,6 +1,5 @@
 #include "linalg/vector_ops.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -18,81 +17,43 @@ namespace {
 constexpr Index kReduceGrain = 4096;
 constexpr Index kMapGrain = 16384;
 
+/// One thread below kSerialBelowElements, the configured count above.
+parallel::ParallelOptions options_for(Index n) {
+  return {.num_threads = n < kSerialBelowElements ? 1 : 0};
+}
+
 }  // namespace
 
 Real dot(std::span<const Real> x, std::span<const Real> y) {
   PPDL_REQUIRE(x.size() == y.size(), "dot: size mismatch");
   const Index n = static_cast<Index>(x.size());
-  return parallel::reduce_sum(n, kReduceGrain, [&](Index begin, Index end) {
-    Real acc = 0.0;
-    for (Index i = begin; i < end; ++i) {
-      const auto iu = static_cast<std::size_t>(i);
-      acc += x[iu] * y[iu];
-    }
-    return acc;
-  });
+  return parallel::reduce_sum(
+      n, kReduceGrain,
+      [&](Index begin, Index end) {
+        Real acc = 0.0;
+        for (Index i = begin; i < end; ++i) {
+          const auto iu = static_cast<std::size_t>(i);
+          acc += x[iu] * y[iu];
+        }
+        return acc;
+      },
+      options_for(n));
 }
 
 Real norm2(std::span<const Real> x) { return std::sqrt(dot(x, x)); }
 
-Real norm_inf(std::span<const Real> x) {
-  const Index n = static_cast<Index>(x.size());
-  return parallel::reduce<Real>(
-      n, kReduceGrain, 0.0,
-      [&](Index begin, Index end) {
-        Real m = 0.0;
-        for (Index i = begin; i < end; ++i) {
-          m = std::max(m, std::abs(x[static_cast<std::size_t>(i)]));
-        }
-        return m;
-      },
-      [](Real a, Real b) { return std::max(a, b); });
-}
-
 void axpy(Real alpha, std::span<const Real> x, std::span<Real> y) {
   PPDL_REQUIRE(x.size() == y.size(), "axpy: size mismatch");
-  parallel::for_range(static_cast<Index>(x.size()), kMapGrain,
-                      [&](Index begin, Index end) {
-                        for (Index i = begin; i < end; ++i) {
-                          const auto iu = static_cast<std::size_t>(i);
-                          y[iu] += alpha * x[iu];
-                        }
-                      });
-}
-
-void scale(Real alpha, std::span<Real> x) {
-  parallel::for_range(static_cast<Index>(x.size()), kMapGrain,
-                      [&](Index begin, Index end) {
-                        for (Index i = begin; i < end; ++i) {
-                          x[static_cast<std::size_t>(i)] *= alpha;
-                        }
-                      });
-}
-
-std::vector<Real> subtract(std::span<const Real> x, std::span<const Real> y) {
-  PPDL_REQUIRE(x.size() == y.size(), "subtract: size mismatch");
-  std::vector<Real> out(x.size());
-  parallel::for_range(static_cast<Index>(x.size()), kMapGrain,
-                      [&](Index begin, Index end) {
-                        for (Index i = begin; i < end; ++i) {
-                          const auto iu = static_cast<std::size_t>(i);
-                          out[iu] = x[iu] - y[iu];
-                        }
-                      });
-  return out;
-}
-
-void hadamard(std::span<const Real> x, std::span<const Real> y,
-              std::span<Real> out) {
-  PPDL_REQUIRE(x.size() == y.size() && x.size() == out.size(),
-               "hadamard: size mismatch");
-  parallel::for_range(static_cast<Index>(x.size()), kMapGrain,
-                      [&](Index begin, Index end) {
-                        for (Index i = begin; i < end; ++i) {
-                          const auto iu = static_cast<std::size_t>(i);
-                          out[iu] = x[iu] * y[iu];
-                        }
-                      });
+  const Index n = static_cast<Index>(x.size());
+  parallel::for_range(
+      n, kMapGrain,
+      [&](Index begin, Index end) {
+        for (Index i = begin; i < end; ++i) {
+          const auto iu = static_cast<std::size_t>(i);
+          y[iu] += alpha * x[iu];
+        }
+      },
+      {}, options_for(n));
 }
 
 }  // namespace ppdl::linalg

@@ -2,11 +2,17 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "common/types.hpp"
 
 namespace ppdl::linalg {
+
+/// Vectors shorter than this run dot, norm2, axpy and CG's element-wise
+/// loops on the calling thread: below it, waking the pool costs more than
+/// the chunks it shares out (the crossover measured inside an IC(0)-PCG
+/// loop at 4 threads, DESIGN.md "Parallel execution & determinism"). The
+/// chunks and their combine order do not change, so neither do the bits.
+inline constexpr Index kSerialBelowElements = 40 * 1024;
 
 /// Dot product. Sizes must match.
 Real dot(std::span<const Real> x, std::span<const Real> y);
@@ -14,20 +20,7 @@ Real dot(std::span<const Real> x, std::span<const Real> y);
 /// Euclidean norm.
 Real norm2(std::span<const Real> x);
 
-/// Infinity norm.
-Real norm_inf(std::span<const Real> x);
-
 /// y += alpha * x (sizes must match).
 void axpy(Real alpha, std::span<const Real> x, std::span<Real> y);
-
-/// x *= alpha.
-void scale(Real alpha, std::span<Real> x);
-
-/// out = x - y element-wise (sizes must match).
-std::vector<Real> subtract(std::span<const Real> x, std::span<const Real> y);
-
-/// Hadamard (element-wise) product into out (sizes must match).
-void hadamard(std::span<const Real> x, std::span<const Real> y,
-              std::span<Real> out);
 
 }  // namespace ppdl::linalg

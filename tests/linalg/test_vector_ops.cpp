@@ -25,15 +25,9 @@ TEST(VectorOps, Norm2) {
   EXPECT_DOUBLE_EQ(norm2(x), 5.0);
 }
 
-TEST(VectorOps, NormInf) {
-  const std::vector<Real> x{-7.0, 3.0, 5.0};
-  EXPECT_DOUBLE_EQ(norm_inf(x), 7.0);
-}
-
 TEST(VectorOps, NormOfEmptyIsZero) {
   const std::vector<Real> x;
   EXPECT_DOUBLE_EQ(norm2(x), 0.0);
-  EXPECT_DOUBLE_EQ(norm_inf(x), 0.0);
 }
 
 TEST(VectorOps, Axpy) {
@@ -42,30 +36,6 @@ TEST(VectorOps, Axpy) {
   axpy(2.0, x, y);
   EXPECT_DOUBLE_EQ(y[0], 12.0);
   EXPECT_DOUBLE_EQ(y[1], 24.0);
-}
-
-TEST(VectorOps, Scale) {
-  std::vector<Real> x{1.0, -2.0};
-  scale(-3.0, x);
-  EXPECT_DOUBLE_EQ(x[0], -3.0);
-  EXPECT_DOUBLE_EQ(x[1], 6.0);
-}
-
-TEST(VectorOps, Subtract) {
-  const std::vector<Real> x{5.0, 7.0};
-  const std::vector<Real> y{2.0, 10.0};
-  const std::vector<Real> d = subtract(x, y);
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
-  EXPECT_DOUBLE_EQ(d[1], -3.0);
-}
-
-TEST(VectorOps, Hadamard) {
-  const std::vector<Real> x{2.0, 3.0};
-  const std::vector<Real> y{4.0, 5.0};
-  std::vector<Real> out(2);
-  hadamard(x, y, out);
-  EXPECT_DOUBLE_EQ(out[0], 8.0);
-  EXPECT_DOUBLE_EQ(out[1], 15.0);
 }
 
 }  // namespace
