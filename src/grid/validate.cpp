@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <map>
-#include <queue>
 #include <sstream>
 #include <utility>
 
@@ -27,33 +26,105 @@ void add_defect(GridValidationReport& report, GridDefect defect) {
   report.defects.push_back(std::move(defect));
 }
 
-/// Pad-reachability BFS over the branch graph.
-std::vector<bool> reachable_from_pads(const PowerGrid& pg) {
-  std::vector<std::vector<Index>> adj(
-      static_cast<std::size_t>(pg.node_count()));
-  for (const Branch& b : pg.branches()) {
-    adj[static_cast<std::size_t>(b.n1)].push_back(b.n2);
-    adj[static_cast<std::size_t>(b.n2)].push_back(b.n1);
+/// Node→branch incidence in CSR form, built by one counting sort over the
+/// branch list: node v's incident branches are branch[ptr[v]..ptr[v+1]),
+/// ascending, with the far endpoint of each in `other` at the same slot.
+/// Every branch appears once per endpoint, so a node's slot count is its
+/// degree.
+struct Incidence {
+  std::vector<Index> ptr;
+  std::vector<Index> branch;
+  std::vector<Index> other;
+
+  Index degree(Index v) const {
+    return ptr[static_cast<std::size_t>(v) + 1] -
+           ptr[static_cast<std::size_t>(v)];
   }
-  std::vector<bool> reach(static_cast<std::size_t>(pg.node_count()), false);
-  std::queue<Index> queue;
+};
+
+Incidence incidence_of(const PowerGrid& pg) {
+  const auto n = static_cast<std::size_t>(pg.node_count());
+  const std::vector<Branch>& branches = pg.branches();
+  Incidence inc;
+  inc.ptr.assign(n + 1, 0);
+  for (const Branch& b : branches) {
+    ++inc.ptr[static_cast<std::size_t>(b.n1) + 1];
+    ++inc.ptr[static_cast<std::size_t>(b.n2) + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    inc.ptr[v + 1] += inc.ptr[v];
+  }
+  inc.branch.resize(static_cast<std::size_t>(inc.ptr[n]));
+  inc.other.resize(static_cast<std::size_t>(inc.ptr[n]));
+  std::vector<Index> cursor(inc.ptr.begin(), inc.ptr.end() - 1);
+  for (std::size_t bi = 0; bi < branches.size(); ++bi) {
+    const Branch& b = branches[bi];
+    const auto k1 =
+        static_cast<std::size_t>(cursor[static_cast<std::size_t>(b.n1)]++);
+    inc.branch[k1] = static_cast<Index>(bi);
+    inc.other[k1] = b.n2;
+    const auto k2 =
+        static_cast<std::size_t>(cursor[static_cast<std::size_t>(b.n2)]++);
+    inc.branch[k2] = static_cast<Index>(bi);
+    inc.other[k2] = b.n1;
+  }
+  return inc;
+}
+
+/// Pad-reachability BFS over the incidence (1 = reachable).
+std::vector<unsigned char> reachable_from_pads(const PowerGrid& pg,
+                                               const Incidence& inc) {
+  const auto n = static_cast<std::size_t>(pg.node_count());
+  std::vector<unsigned char> reach(n, 0);
+  std::vector<Index> queue;
+  queue.reserve(n);
   for (const Pad& pad : pg.pads()) {
-    if (!reach[static_cast<std::size_t>(pad.node)]) {
-      reach[static_cast<std::size_t>(pad.node)] = true;
-      queue.push(pad.node);
+    if (reach[static_cast<std::size_t>(pad.node)] == 0) {
+      reach[static_cast<std::size_t>(pad.node)] = 1;
+      queue.push_back(pad.node);
     }
   }
-  while (!queue.empty()) {
-    const Index v = queue.front();
-    queue.pop();
-    for (const Index u : adj[static_cast<std::size_t>(v)]) {
-      if (!reach[static_cast<std::size_t>(u)]) {
-        reach[static_cast<std::size_t>(u)] = true;
-        queue.push(u);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const auto v = static_cast<std::size_t>(queue[head]);
+    for (Index k = inc.ptr[v]; k < inc.ptr[v + 1]; ++k) {
+      const Index u = inc.other[static_cast<std::size_t>(k)];
+      if (reach[static_cast<std::size_t>(u)] == 0) {
+        reach[static_cast<std::size_t>(u)] = 1;
+        queue.push_back(u);
       }
     }
   }
   return reach;
+}
+
+/// For each branch, the lowest-indexed branch joining the same unordered
+/// node pair, or -1 when it is that branch itself. Each branch is visited
+/// once, from its lower endpoint u (PowerGrid has no self-loops), in
+/// ascending branch order; `seen_from` stamps the far endpoints already
+/// met from u.
+std::vector<Index> first_parallel_branch(const PowerGrid& pg,
+                                         const Incidence& inc) {
+  const auto n = static_cast<std::size_t>(pg.node_count());
+  std::vector<Index> first_of(static_cast<std::size_t>(pg.branch_count()), -1);
+  std::vector<Index> seen_from(n, -1);
+  std::vector<Index> first_to(n, -1);
+  for (std::size_t u = 0; u < n; ++u) {
+    for (Index k = inc.ptr[u]; k < inc.ptr[u + 1]; ++k) {
+      const auto v =
+          static_cast<std::size_t>(inc.other[static_cast<std::size_t>(k)]);
+      if (v < u) {
+        continue;  // visited from v
+      }
+      const Index bi = inc.branch[static_cast<std::size_t>(k)];
+      if (seen_from[v] != static_cast<Index>(u)) {
+        seen_from[v] = static_cast<Index>(u);
+        first_to[v] = bi;
+      } else {
+        first_of[static_cast<std::size_t>(bi)] = first_to[v];
+      }
+    }
+  }
+  return first_of;
 }
 
 }  // namespace
@@ -135,15 +206,22 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
                         -1, "no supply pad pins any voltage"});
   }
 
-  // Conflicting pad voltages on a shared node.
+  // Conflicting pad voltages on a shared node: each pad is compared with
+  // the first pad on its node.
   {
-    std::map<Index, Real> pinned;
+    std::vector<Index> first_pad(static_cast<std::size_t>(pg.node_count()),
+                                 -1);
     for (std::size_t p = 0; p < pg.pads().size(); ++p) {
       const Pad& pad = pg.pads()[p];
-      const auto [it, inserted] = pinned.emplace(pad.node, pad.voltage);
-      if (!inserted && std::abs(it->second - pad.voltage) > 1e-12) {
+      Index& first = first_pad[static_cast<std::size_t>(pad.node)];
+      if (first < 0) {
+        first = static_cast<Index>(p);
+        continue;
+      }
+      const Real pinned = pg.pads()[static_cast<std::size_t>(first)].voltage;
+      if (std::abs(pinned - pad.voltage) > 1e-12) {
         std::ostringstream os;
-        os << it->second << " V vs " << pad.voltage << " V";
+        os << pinned << " V vs " << pad.voltage << " V";
         add_defect(report,
                    {GridDefectKind::kConflictingPadVoltages,
                     DefectSeverity::kFatal, pad.node, -1, os.str()});
@@ -152,9 +230,9 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
   }
 
   // Branch conductances and duplicate detection.
-  std::map<std::pair<Index, Index>, Index> first_branch_of_pair;
+  const Incidence inc = incidence_of(pg);
+  const std::vector<Index> first_parallel = first_parallel_branch(pg, inc);
   for (Index bi = 0; bi < pg.branch_count(); ++bi) {
-    const Branch& b = pg.branch(bi);
     const Real resistance = pg.branch_resistance(bi);
     if (!std::isfinite(resistance) || resistance <= 0.0) {
       std::ostringstream os;
@@ -163,12 +241,10 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
                  {GridDefectKind::kNonPositiveConductance,
                   DefectSeverity::kFatal, -1, bi, os.str()});
     }
-    const std::pair<Index, Index> key{std::min(b.n1, b.n2),
-                                      std::max(b.n1, b.n2)};
-    const auto [it, inserted] = first_branch_of_pair.emplace(key, bi);
-    if (!inserted) {
+    const Index first = first_parallel[static_cast<std::size_t>(bi)];
+    if (first >= 0) {
       std::ostringstream os;
-      os << "parallel with branch " << it->second;
+      os << "parallel with branch " << first;
       add_defect(report,
                  {GridDefectKind::kDuplicateBranch, DefectSeverity::kWarning,
                   -1, bi, os.str()});
@@ -176,11 +252,11 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
   }
 
   // Per-node load totals and finiteness.
-  std::vector<bool> has_load(static_cast<std::size_t>(pg.node_count()),
-                             false);
+  std::vector<unsigned char> has_load(
+      static_cast<std::size_t>(pg.node_count()), 0);
   for (std::size_t li = 0; li < pg.loads().size(); ++li) {
     const CurrentLoad& load = pg.loads()[li];
-    has_load[static_cast<std::size_t>(load.node)] = true;
+    has_load[static_cast<std::size_t>(load.node)] = 1;
     if (!std::isfinite(load.amps)) {
       add_defect(report,
                  {GridDefectKind::kNonFiniteLoad, DefectSeverity::kFatal,
@@ -191,22 +267,17 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
   // Connectivity: every free node must reach a pad or its MNA row/column is
   // singular (a zero-conductance row for isolated nodes, a padless block
   // otherwise).
-  std::vector<Index> degree(static_cast<std::size_t>(pg.node_count()), 0);
-  for (const Branch& b : pg.branches()) {
-    ++degree[static_cast<std::size_t>(b.n1)];
-    ++degree[static_cast<std::size_t>(b.n2)];
-  }
-  const std::vector<bool> reach = reachable_from_pads(pg);
+  const std::vector<unsigned char> reach = reachable_from_pads(pg, inc);
   for (Index v = 0; v < pg.node_count(); ++v) {
     const auto vu = static_cast<std::size_t>(v);
-    if (reach[vu]) {
+    if (reach[vu] != 0) {
       continue;
     }
-    if (has_load[vu]) {
+    if (has_load[vu] != 0) {
       add_defect(report,
                  {GridDefectKind::kUnreachableLoad, DefectSeverity::kFatal, v,
                   -1, "load has no path to any pad — MNA system is singular"});
-    } else if (degree[vu] == 0) {
+    } else if (inc.degree(v) == 0) {
       add_defect(report,
                  {GridDefectKind::kIsolatedNode, DefectSeverity::kRepairable,
                   v, -1, "node has no branches (zero conductance row)"});
@@ -222,7 +293,7 @@ GridValidationReport validate_grid(const PowerGrid& pg) {
   // (the BFS starts there) and harmless to MNA (pad nodes are eliminated),
   // but the bump delivers no current — a packaging defect worth surfacing.
   for (const Pad& pad : pg.pads()) {
-    if (degree[static_cast<std::size_t>(pad.node)] == 0) {
+    if (inc.degree(pad.node) == 0) {
       add_defect(report,
                  {GridDefectKind::kDanglingPad, DefectSeverity::kWarning,
                   pad.node, -1, "supply pad bonded to a branchless node"});
@@ -239,7 +310,8 @@ PowerGrid repaired_copy(const PowerGrid& pg,
     }
   };
 
-  const std::vector<bool> reach = reachable_from_pads(pg);
+  const std::vector<unsigned char> reach =
+      reachable_from_pads(pg, incidence_of(pg));
   std::vector<bool> has_load(static_cast<std::size_t>(pg.node_count()),
                              false);
   for (const CurrentLoad& load : pg.loads()) {
@@ -258,7 +330,7 @@ PowerGrid repaired_copy(const PowerGrid& pg,
   }
   for (Index v = 0; v < pg.node_count(); ++v) {
     const auto vu = static_cast<std::size_t>(v);
-    if (reach[vu] || has_load[vu]) {
+    if (reach[vu] != 0 || has_load[vu]) {
       new_id[vu] = out.add_node(pg.node(v).pos, pg.node(v).layer);
     } else {
       std::ostringstream os;

@@ -25,8 +25,11 @@ class SparseCholesky {
   ///
   /// `drop_tolerance` > 0 computes an incomplete factor instead: row
   /// entries with |L(i,j)| ≤ τ·|L(i,i)| are discarded as the factorization
-  /// proceeds, so later rows' work shrinks with them — on power-grid
-  /// matrices τ = 1e-3 keeps ~40 % of the fill and cuts the build ~2.5×.
+  /// proceeds, so later rows' substitutions shrink with them (the pattern
+  /// walk still enumerates the exact fill). On ibmpg6 at scale 0.05 under
+  /// nested dissection, τ = 1e-3 keeps 1.13 M of the 4.74 M entries of L
+  /// and builds in 0.31–0.35 s against 1.98–2.27 s at τ = 0 (best of three,
+  /// one thread of a 4-core Xeon VM).
   /// solve() then returns an approximation; use it as a preconditioner
   /// (analysis::IncrementalIrSolver does), never as a direct solver.
   /// Dropping keeps every diagonal, so L stays nonsingular; a pivot driven

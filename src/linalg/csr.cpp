@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -12,58 +13,91 @@ CsrMatrix CsrMatrix::from_coo(const CooMatrix& coo) {
   CsrMatrix m;
   m.rows_ = coo.rows();
   m.cols_ = coo.cols();
+  const std::vector<Triplet>& entries = coo.entries();
 
+  // Scatter triplets into row buckets, in insertion order within a row,
+  // directly in the output arrays.
   const auto n_rows = static_cast<std::size_t>(m.rows_);
-  std::vector<Index> counts(n_rows + 1, 0);
-  for (const Triplet& t : coo.entries()) {
-    ++counts[static_cast<std::size_t>(t.row) + 1];
-  }
-  for (std::size_t r = 0; r < n_rows; ++r) {
-    counts[r + 1] += counts[r];
-  }
-
-  // Scatter triplets into row buckets.
-  std::vector<Index> col_raw(coo.entries().size());
-  std::vector<Real> val_raw(coo.entries().size());
-  std::vector<Index> cursor(counts.begin(), counts.end() - 1);
-  for (const Triplet& t : coo.entries()) {
-    const auto pos =
-        static_cast<std::size_t>(cursor[static_cast<std::size_t>(t.row)]++);
-    col_raw[pos] = t.col;
-    val_raw[pos] = t.value;
-  }
-
-  // Sort each row by column and merge duplicates.
   m.row_ptr_.assign(n_rows + 1, 0);
-  m.col_idx_.reserve(coo.entries().size());
-  m.values_.reserve(coo.entries().size());
-  std::vector<std::pair<Index, Real>> row_buf;
+  for (const Triplet& t : entries) {
+    ++m.row_ptr_[static_cast<std::size_t>(t.row) + 1];
+  }
   for (std::size_t r = 0; r < n_rows; ++r) {
-    row_buf.clear();
-    for (Index k = counts[r]; k < counts[r + 1]; ++k) {
-      const auto ku = static_cast<std::size_t>(k);
-      row_buf.emplace_back(col_raw[ku], val_raw[ku]);
+    m.row_ptr_[r + 1] += m.row_ptr_[r];
+  }
+  m.col_idx_.resize(entries.size());
+  m.values_.resize(entries.size());
+  {
+    std::vector<Index> cursor(m.row_ptr_.begin(), m.row_ptr_.end() - 1);
+    for (const Triplet& t : entries) {
+      const auto pos =
+          static_cast<std::size_t>(cursor[static_cast<std::size_t>(t.row)]++);
+      m.col_idx_[pos] = t.col;
+      m.values_[pos] = t.value;
     }
-    // stable_sort keeps duplicate (row, col) entries in insertion order, so
-    // the left-fold merge below sums them in a well-defined order. Callers
-    // that re-sum a slot incrementally (IncrementalIrSolver) replay the same
-    // insertion-ordered fold and land on the bit-identical value.
-    std::stable_sort(
-        row_buf.begin(), row_buf.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t k = 0; k < row_buf.size(); ++k) {
-      if (!m.col_idx_.empty() &&
-          m.row_ptr_[r] < static_cast<Index>(m.col_idx_.size()) &&
-          m.col_idx_.back() == row_buf[k].first &&
-          static_cast<Index>(m.col_idx_.size()) > m.row_ptr_[r]) {
-        m.values_.back() += row_buf[k].second;
-      } else {
-        m.col_idx_.push_back(row_buf[k].first);
-        m.values_.push_back(row_buf[k].second);
+  }
+
+  // Sort each row by column, keeping duplicate (row, col) entries in
+  // insertion order, and merge duplicates with a left fold — so they sum in
+  // a well-defined order. Callers that re-sum a slot incrementally
+  // (IncrementalIrSolver) replay the same insertion-ordered fold and land
+  // on the bit-identical value. Rows of up to kInsertionSortMax entries
+  // (every MNA row) sort in place by insertion, which shifts only past
+  // strictly greater columns; longer rows sort (column, position) keys,
+  // which never tie, so the unstable std::sort yields the stable order in
+  // O(len·log len). Neither path allocates per row. The fold compacts the
+  // rows in place: the write position never passes the read position.
+  constexpr Index kInsertionSortMax = 32;
+  Index* col = m.col_idx_.data();
+  Real* val = m.values_.data();
+  std::vector<std::pair<Index, Index>> keys;  // long rows: (column, position)
+  std::vector<Real> sorted;                   // long rows: values in order
+  Index begin = 0;
+  Index write = 0;
+  for (std::size_t r = 0; r < n_rows; ++r) {
+    const Index end = m.row_ptr_[r + 1];
+    if (end - begin <= kInsertionSortMax) {
+      for (Index k = begin + 1; k < end; ++k) {
+        const Index c = col[k];
+        const Real v = val[k];
+        Index j = k;
+        for (; j > begin && col[j - 1] > c; --j) {
+          col[j] = col[j - 1];
+          val[j] = val[j - 1];
+        }
+        col[j] = c;
+        val[j] = v;
+      }
+    } else {
+      keys.clear();
+      sorted.clear();
+      for (Index k = begin; k < end; ++k) {
+        keys.emplace_back(col[k], k);
+      }
+      std::sort(keys.begin(), keys.end());
+      for (const auto& key : keys) {
+        sorted.push_back(val[key.second]);
+      }
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        col[begin + static_cast<Index>(i)] = keys[i].first;
+        val[begin + static_cast<Index>(i)] = sorted[i];
       }
     }
-    m.row_ptr_[r + 1] = static_cast<Index>(m.col_idx_.size());
+    const Index row_out = write;
+    for (Index k = begin; k < end; ++k) {
+      if (write > row_out && col[write - 1] == col[k]) {
+        val[write - 1] += val[k];
+      } else {
+        col[write] = col[k];
+        val[write] = val[k];
+        ++write;
+      }
+    }
+    m.row_ptr_[r + 1] = write;
+    begin = end;
   }
+  m.col_idx_.resize(static_cast<std::size_t>(write));
+  m.values_.resize(static_cast<std::size_t>(write));
   return m;
 }
 

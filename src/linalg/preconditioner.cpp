@@ -183,34 +183,64 @@ Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a)
 
 // The serial IC0 apply: the reference implementation the level-scheduled
 // variant must match bit-for-bit (see LevelScheduledIc0Preconditioner).
+//
+// Both sweeps are one division chain: on mesh orderings nearly every row
+// has an (i, i−1) entry, so row i waits on the row just solved. That term
+// is carried in a register instead of being stored to `out` and read back,
+// which takes a store-to-load round trip off every link of the chain. The
+// arithmetic is unchanged, operation for operation:
+//   * forward: (i, i−1) is the row's last off-diagonal (columns ascend), so
+//     subtracting it after the others is the stored order;
+//   * backward: row i's scatter is the last update out[i−1] receives before
+//     row i−1 divides, so subtracting the carried product there is the
+//     stored order too.
+// A row without an (i, i−1) entry carries nothing: no 0·z term is formed,
+// which would turn an infinite z into NaN.
 void Ic0Preconditioner::apply(std::span<const Real> r,
                               std::span<Real> out) const {
   PPDL_REQUIRE(static_cast<Index>(r.size()) == l_.n &&
                    static_cast<Index>(out.size()) == l_.n,
                "IC0 apply: size mismatch");
-  // Forward solve L y = r.
+  const Index* rp = l_.row_ptr.data();
+  const Index* ci = l_.col_idx.data();
+  const Real* lv = l_.values.data();
+  // Forward solve L y = r; `prev` holds y[i−1].
+  Real prev = 0.0;
   for (Index i = 0; i < l_.n; ++i) {
     Real acc = r[static_cast<std::size_t>(i)];
-    const Index beg = l_.row_ptr[static_cast<std::size_t>(i)];
-    const Index end = l_.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (Index k = beg; k < end - 1; ++k) {
-      acc -=
-          l_.values[static_cast<std::size_t>(k)] *
-          out[static_cast<std::size_t>(l_.col_idx[static_cast<std::size_t>(k)])];
+    const Index beg = rp[i];
+    const Index diag = rp[i + 1] - 1;
+    const bool carried = diag > beg && ci[diag - 1] == i - 1;
+    const Index stop = carried ? diag - 1 : diag;
+    for (Index k = beg; k < stop; ++k) {
+      acc -= lv[k] * out[static_cast<std::size_t>(ci[k])];
     }
-    out[static_cast<std::size_t>(i)] =
-        acc / l_.values[static_cast<std::size_t>(end - 1)];
+    if (carried) {
+      acc -= lv[diag - 1] * prev;
+    }
+    prev = acc / lv[diag];
+    out[static_cast<std::size_t>(i)] = prev;
   }
-  // Backward solve Lᵀ z = y (in place on out, scatter form).
+  // Backward solve Lᵀ z = y (in place on out, scatter form); `carry` holds
+  // row i+1's pending update L(i+1, i)·z[i+1] to out[i].
+  Real carry = 0.0;
+  bool carrying = false;
   for (Index i = l_.n - 1; i >= 0; --i) {
-    const Index beg = l_.row_ptr[static_cast<std::size_t>(i)];
-    const Index end = l_.row_ptr[static_cast<std::size_t>(i) + 1];
-    const Real zi = out[static_cast<std::size_t>(i)] /
-                    l_.values[static_cast<std::size_t>(end - 1)];
+    const Index beg = rp[i];
+    const Index diag = rp[i + 1] - 1;
+    Real yi = out[static_cast<std::size_t>(i)];
+    if (carrying) {
+      yi -= carry;
+    }
+    const Real zi = yi / lv[diag];
     out[static_cast<std::size_t>(i)] = zi;
-    for (Index k = beg; k < end - 1; ++k) {
-      out[static_cast<std::size_t>(l_.col_idx[static_cast<std::size_t>(k)])] -=
-          l_.values[static_cast<std::size_t>(k)] * zi;
+    carrying = diag > beg && ci[diag - 1] == i - 1;
+    const Index stop = carrying ? diag - 1 : diag;
+    for (Index k = beg; k < stop; ++k) {
+      out[static_cast<std::size_t>(ci[k])] -= lv[k] * zi;
+    }
+    if (carrying) {
+      carry = lv[diag - 1] * zi;
     }
   }
 }

@@ -55,17 +55,25 @@ Index update_proportional(grid::PowerGrid& pg,
   }
 
   // Tapered sizing needs the stripes with their segments ordered along the
-  // line (topology is immutable during planning, so build them once).
+  // line (topology is immutable during planning, so build them once). The
+  // sort compares precomputed centre coordinates: the comparisons, and so
+  // the order std::sort leaves, are those of comparing branch_center()s.
   if (options.per_stripe && state.stripes.empty()) {
+    std::vector<Real> along(static_cast<std::size_t>(pg.branch_count()));
+    for (Index bi = 0; bi < pg.branch_count(); ++bi) {
+      const grid::Branch& b = pg.branch(bi);
+      if (b.kind == grid::BranchKind::kWire) {
+        const grid::Point c = pg.branch_center(bi);
+        along[static_cast<std::size_t>(bi)] =
+            pg.layer(b.layer).horizontal ? c.x : c.y;
+      }
+    }
     for (Index layer = 0; layer < pg.layer_count(); ++layer) {
-      const bool horizontal = pg.layer(layer).horizontal;
       for (auto& [coord, branches] : grid::stripes_of_layer(pg, layer)) {
-        std::sort(branches.begin(), branches.end(),
-                  [&](Index a, Index b) {
-                    const grid::Point ca = pg.branch_center(a);
-                    const grid::Point cb = pg.branch_center(b);
-                    return horizontal ? ca.x < cb.x : ca.y < cb.y;
-                  });
+        std::sort(branches.begin(), branches.end(), [&](Index a, Index b) {
+          return along[static_cast<std::size_t>(a)] <
+                 along[static_cast<std::size_t>(b)];
+        });
         state.stripes.push_back(std::move(branches));
       }
     }
@@ -84,6 +92,8 @@ Index update_proportional(grid::PowerGrid& pg,
       // of `target` and the result is independent of the thread count.
       const auto n_stripes = static_cast<Index>(state.stripes.size());
       parallel::for_range(n_stripes, 1, [&](Index sb, Index se) {
+        std::vector<Real> req;
+        std::vector<Index> window_max;  // monotone deque of positions
         for (Index s = sb; s < se; ++s) {
           const std::vector<Index>& stripe =
               state.stripes[static_cast<std::size_t>(s)];
@@ -91,22 +101,40 @@ Index update_proportional(grid::PowerGrid& pg,
           const Index window = std::max<Index>(
               1, static_cast<Index>(options.taper_window_fraction *
                                     static_cast<Real>(n)));
-          std::vector<Real> raw(static_cast<std::size_t>(n));
+          // The maximum of 0.0 and the window's requirements, as a running
+          // std::max from 0.0 takes it: a NaN, negative or −0.0 requirement
+          // never wins, so each enters as +0.0 and every window maximum is
+          // one of the stored bit patterns.
+          req.resize(static_cast<std::size_t>(n));
           for (Index i = 0; i < n; ++i) {
             const Real current = std::abs(
                 analysis.branch_current[static_cast<std::size_t>(
                     stripe[static_cast<std::size_t>(i)])]);
-            raw[static_cast<std::size_t>(i)] = current / state.j_target;
+            const Real r = current / state.j_target;
+            req[static_cast<std::size_t>(i)] = r > 0.0 ? r : 0.0;
           }
+          // Sliding maximum over [i − window, i + window] in O(n): the
+          // deque holds positions with strictly decreasing requirements.
+          window_max.resize(static_cast<std::size_t>(n));
+          std::size_t head = 0;
+          std::size_t tail = 0;
+          Index next = 0;
           for (Index i = 0; i < n; ++i) {
-            Real smoothed = 0.0;
-            const Index lo = std::max<Index>(0, i - window);
-            const Index hi = std::min<Index>(n - 1, i + window);
-            for (Index k = lo; k <= hi; ++k) {
-              smoothed = std::max(smoothed, raw[static_cast<std::size_t>(k)]);
+            for (const Index hi = std::min<Index>(n - 1, i + window);
+                 next <= hi; ++next) {
+              const Real r = req[static_cast<std::size_t>(next)];
+              while (tail > head &&
+                     req[static_cast<std::size_t>(window_max[tail - 1])] <= r) {
+                --tail;
+              }
+              window_max[tail++] = next;
+            }
+            while (window_max[head] < i - window) {
+              ++head;
             }
             target[static_cast<std::size_t>(
-                stripe[static_cast<std::size_t>(i)])] = smoothed;
+                stripe[static_cast<std::size_t>(i)])] =
+                req[static_cast<std::size_t>(window_max[head])];
           }
         }
       });

@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "analysis/ir_solver.hpp"
+#include "common/rng.hpp"
+#include "grid/design_rules.hpp"
 #include "planner/width_optimizer.hpp"
 #include "support/fixtures.hpp"
 
@@ -129,6 +137,201 @@ TEST(WidthOptimizer, InvalidOptionsThrow) {
   WidthUpdateOptions bad2 = chain_options(0.05);
   bad2.jmax = 0.0;
   EXPECT_THROW(update_widths(pg, res, bad2, state), ContractViolation);
+}
+
+// --- tapered sizing against an O(n·window) reference ------------------------
+
+/// kProportional with per-stripe tapering as a direct transcription: stripes
+/// sorted by comparing branch_center()s, and each segment's target the
+/// running std::max from 0.0 over its whole window.
+Index reference_update(grid::PowerGrid& pg,
+                       const analysis::IrAnalysisResult& analysis,
+                       const WidthUpdateOptions& options,
+                       WidthUpdateState& state) {
+  if (state.j_target <= 0.0) {
+    state.j_target = options.jmax / options.em_safety;
+  }
+  const bool violating = analysis.worst_ir_drop > options.ir_limit;
+  if (violating) {
+    const Real ratio = options.ir_limit / analysis.worst_ir_drop;
+    state.j_target *= std::max(ratio * 0.95, options.max_tighten);
+  }
+  if (state.stripes.empty()) {
+    for (Index layer = 0; layer < pg.layer_count(); ++layer) {
+      const bool horizontal = pg.layer(layer).horizontal;
+      for (auto& [coord, branches] : grid::stripes_of_layer(pg, layer)) {
+        std::sort(branches.begin(), branches.end(), [&](Index a, Index b) {
+          const grid::Point ca = pg.branch_center(a);
+          const grid::Point cb = pg.branch_center(b);
+          return horizontal ? ca.x < cb.x : ca.y < cb.y;
+        });
+        state.stripes.push_back(std::move(branches));
+      }
+    }
+  }
+  std::vector<Real> target(static_cast<std::size_t>(pg.branch_count()), -1.0);
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    for (const std::vector<Index>& stripe : state.stripes) {
+      const auto n = static_cast<Index>(stripe.size());
+      const Index window = std::max<Index>(
+          1, static_cast<Index>(options.taper_window_fraction *
+                                static_cast<Real>(n)));
+      for (Index i = 0; i < n; ++i) {
+        Real smoothed = 0.0;
+        for (Index k = std::max<Index>(0, i - window);
+             k <= std::min<Index>(n - 1, i + window); ++k) {
+          const Real current = std::abs(analysis.branch_current[
+              static_cast<std::size_t>(stripe[static_cast<std::size_t>(k)])]);
+          smoothed = std::max(smoothed, current / state.j_target);
+        }
+        target[static_cast<std::size_t>(stripe[static_cast<std::size_t>(i)])] =
+            smoothed;
+      }
+    }
+    Index changed = 0;
+    for (Index bi = 0; bi < pg.branch_count(); ++bi) {
+      const grid::Branch& b = pg.branch(bi);
+      if (b.kind != grid::BranchKind::kWire ||
+          target[static_cast<std::size_t>(bi)] < 0.0) {
+        continue;
+      }
+      const Real w_new = std::max(
+          b.width, grid::clamp_width(target[static_cast<std::size_t>(bi)],
+                                     pg.layer(b.layer), options.rules));
+      if (w_new > b.width * (1.0 + 1e-12)) {
+        pg.set_wire_width(bi, w_new);
+        ++changed;
+      }
+    }
+    if (changed > 0 || !violating) {
+      return changed;
+    }
+    state.j_target *= options.max_tighten;
+    if (state.j_target <= 0.0) {
+      break;
+    }
+  }
+  return 0;
+}
+
+void expect_same_sizing(const grid::PowerGrid& pg,
+                        const analysis::IrAnalysisResult& analysis,
+                        const WidthUpdateOptions& options) {
+  grid::PowerGrid got = pg;
+  grid::PowerGrid want = pg;
+  WidthUpdateState got_state;
+  WidthUpdateState want_state;
+  for (int call = 0; call < 2; ++call) {  // fresh stripes, then reused ones
+    EXPECT_EQ(update_widths(got, analysis, options, got_state),
+              reference_update(want, analysis, options, want_state));
+    EXPECT_EQ(std::memcmp(&got_state.j_target, &want_state.j_target,
+                          sizeof(Real)),
+              0);
+    EXPECT_EQ(got_state.stripes, want_state.stripes);
+    for (Index bi = 0; bi < pg.branch_count(); ++bi) {
+      const Real a = got.branch(bi).width;
+      const Real b = want.branch(bi).width;
+      ASSERT_EQ(std::memcmp(&a, &b, sizeof(Real)), 0)
+          << "branch " << bi << ": " << a << " vs " << b;
+    }
+  }
+}
+
+/// One horizontal and one vertical layer. Horizontal stripes: y = 0 with six
+/// segments, two of them parallel copies (equal centres); y = 10 with a
+/// single segment; y = 20 with 45 segments added out of order, five of them
+/// parallel copies (long enough that std::sort does not fall back to its
+/// stable insertion sort, so the order among equal centres is its own).
+/// Vertical stripes: x = 0 with two segments, x = 20 with three.
+grid::PowerGrid stripe_grid() {
+  grid::PowerGrid pg;
+  pg.set_name("stripes");
+  pg.set_die(grid::Rect{0.0, 0.0, 60.0, 30.0});
+  const Index h = pg.add_layer(grid::Layer{"M1", true, 0.02, 1.0});
+  const Index v = pg.add_layer(grid::Layer{"M2", false, 0.02, 1.0});
+  std::vector<Index> row;
+  for (Index i = 0; i < 6; ++i) {
+    row.push_back(pg.add_node(grid::Point{10.0 * static_cast<Real>(i), 0.0}, h));
+  }
+  for (Index i = 4; i >= 0; --i) {  // added right to left
+    pg.add_wire(row[static_cast<std::size_t>(i)],
+                row[static_cast<std::size_t>(i) + 1], h, 10.0, 1.0);
+  }
+  pg.add_wire(row[2], row[1], h, 10.0, 1.0);  // parallel copy
+  const Index a = pg.add_node(grid::Point{0.0, 10.0}, h);
+  const Index b = pg.add_node(grid::Point{10.0, 10.0}, h);
+  pg.add_wire(a, b, h, 10.0, 1.0);
+  std::vector<Index> line;
+  for (Index i = 0; i < 41; ++i) {
+    line.push_back(
+        pg.add_node(grid::Point{10.0 * static_cast<Real>(i), 20.0}, h));
+  }
+  for (Index k = 0; k < 40; ++k) {
+    const auto i = static_cast<std::size_t>((k * 17) % 40);
+    pg.add_wire(line[i], line[i + 1], h, 10.0, 1.0);
+    if (k % 8 == 3) {
+      pg.add_wire(line[i + 1], line[i], h, 10.0, 1.0);
+    }
+  }
+  std::vector<Index> col;
+  for (Index i = 0; i < 4; ++i) {
+    col.push_back(pg.add_node(grid::Point{20.0, 10.0 * static_cast<Real>(i)}, v));
+  }
+  pg.add_wire(col[2], col[3], v, 10.0, 1.0);
+  pg.add_wire(col[0], col[1], v, 10.0, 1.0);
+  pg.add_wire(col[1], col[2], v, 10.0, 1.0);
+  const Index p = pg.add_node(grid::Point{0.0, 0.0}, v);
+  const Index q = pg.add_node(grid::Point{0.0, 10.0}, v);
+  pg.add_wire(p, q, v, 10.0, 1.0);
+  pg.add_via(row[0], p, v, 0.1);
+  pg.add_pad(row[0], 1.8);
+  return pg;
+}
+
+analysis::IrAnalysisResult fabricated_analysis(const grid::PowerGrid& pg,
+                                               U64 seed, Real worst_drop) {
+  Rng rng(seed);
+  analysis::IrAnalysisResult a;
+  a.node_ir_drop.assign(static_cast<std::size_t>(pg.node_count()), 0.0);
+  a.worst_ir_drop = worst_drop;
+  for (Index bi = 0; bi < pg.branch_count(); ++bi) {
+    a.branch_current.push_back(rng.uniform(-3.0, 3.0));
+  }
+  a.branch_current[1] = 0.0;
+  a.branch_current[2] = -0.0;
+  a.branch_current[4] = a.branch_current[5];  // tie inside a stripe
+  return a;
+}
+
+TEST(WidthUpdateBitwise, TaperedSizingMatchesWindowScanReference) {
+  const grid::PowerGrid pg = stripe_grid();
+  for (const Real fraction : {0.0, 0.15, 0.4, 3.0}) {
+    for (const Real worst : {0.01, 0.2}) {  // within and over the limit
+      WidthUpdateOptions opts = chain_options(0.05);
+      opts.taper_window_fraction = fraction;
+      SCOPED_TRACE(fraction);
+      expect_same_sizing(pg, fabricated_analysis(pg, 5, worst), opts);
+      analysis::IrAnalysisResult odd = fabricated_analysis(pg, 6, worst);
+      // A NaN current never wins a window: once the window's larger
+      // requirement slides out, the next one behind the NaN takes over.
+      odd.branch_current[0] = std::numeric_limits<Real>::quiet_NaN();
+      odd.branch_current[20] = std::numeric_limits<Real>::quiet_NaN();
+      odd.branch_current[3] = std::numeric_limits<Real>::infinity();
+      expect_same_sizing(pg, odd, opts);
+    }
+  }
+}
+
+TEST(WidthUpdateBitwise, GeneratedGridMatchesWindowScanReference) {
+  const grid::PowerGrid pg = testsupport::make_tiny_benchmark().grid;
+  const analysis::IrAnalysisResult res = analysis::analyze_ir_drop(pg);
+  ASSERT_TRUE(res.converged);
+  for (const Real limit : {0.5 * res.worst_ir_drop, 2.0 * res.worst_ir_drop}) {
+    WidthUpdateOptions opts = chain_options(limit);
+    expect_same_sizing(pg, res, opts);
+    opts.taper_window_fraction = 0.6;
+    expect_same_sizing(pg, res, opts);
+  }
 }
 
 }  // namespace
