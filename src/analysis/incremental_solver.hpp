@@ -69,8 +69,8 @@ struct IncrementalSolveOptions {
   /// with τ > 0 there is no exact factor, so the Woodbury path is off
   /// (see `allow_low_rank`). Power-grid factors decay fast: on ibmpg6 at
   /// scale 0.05 the default keeps 1.13 M of the 4.74 M entries (and so
-  /// sheds most of the latency-bound sweep cost of every patched-CG
-  /// iteration) for at most one extra iteration.
+  /// sheds most of the sweep cost of every patched-CG iteration) for at
+  /// most one extra iteration.
   Real preconditioner_drop_tolerance = 1e-3;
   /// Fall back to full re-assembly + re-factorization when
   /// Σ|g_now − g_factored| / Σ|g_factored| exceeds this.

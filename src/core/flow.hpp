@@ -50,9 +50,10 @@ struct FlowOptions {
   U64 perturb_seed = 99;
   Index planner_max_iterations = 40;
   /// Preconditioner for every CG solve the flow issues (golden planning,
-  /// sign-off, redesign). Serial IC(0) is the single-thread default;
-  /// `ic0-level` and `chebyshev` are the parallel-scalable choices (see
-  /// DESIGN.md "Parallel execution & determinism").
+  /// sign-off, redesign). IC(0) is the default at every thread count: its
+  /// level-ordered serial sweeps beat `ic0-level`'s per-level parallel
+  /// loop at 1 and 4 threads on respin-large's matrix (see DESIGN.md
+  /// "Parallel execution & determinism").
   linalg::PreconditionerKind preconditioner = linalg::PreconditionerKind::kIc0;
   /// Incremental re-solve for every planner loop the flow runs (golden
   /// design, conventional redesign): a resident context caches the MNA

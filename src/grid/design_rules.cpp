@@ -26,19 +26,34 @@ Real clamp_width(Real width, const Layer& layer, const DesignRules& rules) {
   return std::min(w, max_width(layer, rules));
 }
 
-std::map<Real, std::vector<Index>> stripes_of_layer(const PowerGrid& pg,
-                                                    Index layer) {
+std::vector<Stripe> stripes_of_layer(const PowerGrid& pg, Index layer) {
   PPDL_REQUIRE(layer >= 0 && layer < pg.layer_count(),
                "layer out of range");
   const bool horizontal = pg.layer(layer).horizontal;
-  std::map<Real, std::vector<Index>> stripes;
+  // Find-or-insert by coordinate in a vector kept sorted, as a std::map
+  // would: coordinates that compare equal share a stripe, which keeps the
+  // first one's key. Wires usually arrive stripe by stripe, so the
+  // previous wire's stripe is tried before the binary search.
+  std::vector<Stripe> stripes;
+  std::size_t last = 0;
   for (Index i = 0; i < pg.branch_count(); ++i) {
     const Branch& b = pg.branch(i);
     if (b.kind != BranchKind::kWire || b.layer != layer) {
       continue;
     }
     const Point c = pg.branch_center(i);
-    stripes[horizontal ? c.y : c.x].push_back(i);
+    const Real coord = horizontal ? c.y : c.x;
+    if (stripes.empty() || stripes[last].coord < coord ||
+        coord < stripes[last].coord) {
+      auto it = std::lower_bound(
+          stripes.begin(), stripes.end(), coord,
+          [](const Stripe& s, Real v) { return s.coord < v; });
+      if (it == stripes.end() || coord < it->coord) {
+        it = stripes.insert(it, Stripe{coord, {}});
+      }
+      last = static_cast<std::size_t>(it - stripes.begin());
+    }
+    stripes[last].branches.push_back(i);
   }
   return stripes;
 }

@@ -2,7 +2,6 @@
 // budget Σ (sᵢ + wᵢ) = Wcore of paper eq. (3).
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -39,10 +38,17 @@ struct RuleViolation {
   std::string detail;
 };
 
-/// Groups a layer's wire branches into stripes keyed by their constant
-/// coordinate (y for horizontal layers, x for vertical).
-std::map<Real, std::vector<Index>> stripes_of_layer(const PowerGrid& pg,
-                                                    Index layer);
+/// One stripe: the wires of a layer that share its constant coordinate.
+struct Stripe {
+  Real coord = 0.0;
+  std::vector<Index> branches;  ///< ascending branch index
+};
+
+/// Groups a layer's wire branches into stripes by their constant coordinate
+/// (y for horizontal layers, x for vertical), in ascending coordinate order.
+/// Coordinates that compare equal (+0.0 and −0.0) form one stripe, keyed by
+/// its lowest-indexed branch's coordinate.
+std::vector<Stripe> stripes_of_layer(const PowerGrid& pg, Index layer);
 
 /// Checks width bounds for every wire plus, per layer, stripe spacing and
 /// the Wcore budget: Σ over stripes of (max stripe width + spacing) must not

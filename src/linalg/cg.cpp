@@ -89,6 +89,8 @@ CgResult conjugate_gradient_impl(const CsrMatrix& a, std::span<const Real> b,
   constexpr Index kVecGrain = 8192;
   const parallel::ParallelOptions vec_opts{
       .num_threads = n < kSerialBelowElements ? 1 : 0};
+  const parallel::ParallelOptions spmv_opts{
+      .num_threads = n < kSerialBelowRows ? 1 : 0};
 
   std::vector<Real> r(static_cast<std::size_t>(n));
   a.multiply(result.x, r);
@@ -125,9 +127,29 @@ CgResult conjugate_gradient_impl(const CsrMatrix& a, std::span<const Real> b,
   Real best_rel = rel;
   Index since_improvement = 0;
 
+  // Each iteration fuses SpMV with dot(p, Ap), and both axpys with
+  // norm2(r), into one pass over dot's reduction chunks. Every element
+  // takes the unfused kernels' expressions (row_times, x += α·p,
+  // r += (−α)·Ap, the products summed from +0.0) and reduce_sum adds the
+  // chunk partials in chunk order, so each partial and each sum are the
+  // unfused ones bit for bit.
+  const Real* const pv = p.data();
+  Real* const apv = ap.data();
+  Real* const xv = result.x.data();
+  Real* const rv = r.data();
   for (Index it = 1; it <= max_iter; ++it) {
-    a.multiply(p, ap);
-    const Real pap = dot(p, ap);
+    const Real pap = parallel::reduce_sum(
+        n, kReduceGrain,
+        [&](Index begin, Index end) {
+          Real acc = 0.0;
+          for (Index i = begin; i < end; ++i) {
+            const Real api = a.row_times(i, p);
+            apv[i] = api;
+            acc += pv[i] * api;
+          }
+          return acc;
+        },
+        spmv_opts);
     if (!std::isfinite(pap)) {
       result.status = CgStatus::kNonFinite;
       return result;
@@ -140,10 +162,22 @@ CgResult conjugate_gradient_impl(const CsrMatrix& a, std::span<const Real> b,
       return result;
     }
     const Real alpha = rz / pap;
-    axpy(alpha, p, result.x);
-    axpy(-alpha, ap, r);
+    const Real neg_alpha = -alpha;
+    const Real rr = parallel::reduce_sum(
+        n, kReduceGrain,
+        [&](Index begin, Index end) {
+          Real acc = 0.0;
+          for (Index i = begin; i < end; ++i) {
+            xv[i] += alpha * pv[i];
+            const Real ri = rv[i] + neg_alpha * apv[i];
+            rv[i] = ri;
+            acc += ri * ri;
+          }
+          return acc;
+        },
+        vec_opts);
 
-    rel = norm2(r) / bnorm;
+    rel = std::sqrt(rr) / bnorm;
     result.iterations = it;
     result.relative_residual = rel;
     if (options.observer) {

@@ -105,25 +105,13 @@ void CsrMatrix::multiply(std::span<const Real> x, std::span<Real> y) const {
   PPDL_REQUIRE(static_cast<Index>(x.size()) == cols_, "SpMV: x size mismatch");
   PPDL_REQUIRE(static_cast<Index>(y.size()) == rows_, "SpMV: y size mismatch");
   // Row-parallel: each output entry is one row's serial accumulation, so
-  // the result is bit-identical at any thread count. Below
-  // kSerialBelowRows the rows run on the calling thread, where waking the
-  // pool costs more than it saves (the crossover measured inside an
-  // IC(0)-PCG loop at 4 threads, DESIGN.md "Parallel execution &
-  // determinism").
+  // the result is bit-identical at any thread count.
   constexpr Index kRowGrain = 512;
-  constexpr Index kSerialBelowRows = 16 * 1024;
   parallel::for_range(
       rows_, kRowGrain,
       [&](Index row_begin, Index row_end) {
         for (Index r = row_begin; r < row_end; ++r) {
-          Real acc = 0.0;
-          const Index begin = row_ptr_[static_cast<std::size_t>(r)];
-          const Index end = row_ptr_[static_cast<std::size_t>(r) + 1];
-          for (Index k = begin; k < end; ++k) {
-            const auto ku = static_cast<std::size_t>(k);
-            acc += values_[ku] * x[static_cast<std::size_t>(col_idx_[ku])];
-          }
-          y[static_cast<std::size_t>(r)] = acc;
+          y[static_cast<std::size_t>(r)] = row_times(r, x);
         }
       },
       {}, {.num_threads = rows_ < kSerialBelowRows ? 1 : 0});

@@ -9,6 +9,13 @@
 
 namespace ppdl::linalg {
 
+/// Matrices with fewer rows run SpMV on the calling thread: below it,
+/// waking the pool costs more than the row chunks it shares out (the
+/// crossover measured inside an IC(0)-PCG loop at 4 threads, DESIGN.md
+/// "Parallel execution & determinism"). Each row is one serial sum either
+/// way, so the bits do not change.
+inline constexpr Index kSerialBelowRows = 16 * 1024;
+
 /// Immutable-structure CSR matrix. Values can be updated in place, which the
 /// conventional planner uses when only conductances change between
 /// iterations (same sparsity pattern, new widths).
@@ -30,6 +37,18 @@ class CsrMatrix {
 
   /// y = A * x. x.size() == cols(), y.size() == rows().
   void multiply(std::span<const Real> x, std::span<Real> y) const;
+
+  /// Row r of A times x: the value multiply() stores in y[r], summed from
+  /// +0.0 over the row's entries in column order.
+  Real row_times(Index r, std::span<const Real> x) const {
+    Real acc = 0.0;
+    const Index end = row_ptr_[static_cast<std::size_t>(r) + 1];
+    for (Index k = row_ptr_[static_cast<std::size_t>(r)]; k < end; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      acc += values_[ku] * x[static_cast<std::size_t>(col_idx_[ku])];
+    }
+    return acc;
+  }
 
   /// Returns A * x as a new vector.
   std::vector<Real> multiply(std::span<const Real> x) const;

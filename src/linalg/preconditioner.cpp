@@ -176,244 +176,166 @@ Ic0Factor build_ic0_factor(const CsrMatrix& a) {
       "IC0 factorization failed even with diagonal shifting");
 }
 
-}  // namespace detail
+LevelOrderedIc0 build_level_ordered_ic0(const CsrMatrix& a) {
+  const Ic0Factor f = build_ic0_factor(a);
+  const Index n = f.n;
+  const Index* rp = f.row_ptr.data();
+  const Index* ci = f.col_idx.data();
+  const Real* lv = f.values.data();
+  const auto nu = static_cast<std::size_t>(n);
+  const auto off_diagonal = static_cast<std::size_t>(rp[n] - n);
+  LevelOrderedIc0 out;
+  out.n = n;
 
-Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a)
-    : l_(detail::build_ic0_factor(a)) {}
-
-// The serial IC0 apply: the reference implementation the level-scheduled
-// variant must match bit-for-bit (see LevelScheduledIc0Preconditioner).
-//
-// Both sweeps are one division chain: on mesh orderings nearly every row
-// has an (i, i−1) entry, so row i waits on the row just solved. That term
-// is carried in a register instead of being stored to `out` and read back,
-// which takes a store-to-load round trip off every link of the chain. The
-// arithmetic is unchanged, operation for operation:
-//   * forward: (i, i−1) is the row's last off-diagonal (columns ascend), so
-//     subtracting it after the others is the stored order;
-//   * backward: row i's scatter is the last update out[i−1] receives before
-//     row i−1 divides, so subtracting the carried product there is the
-//     stored order too.
-// A row without an (i, i−1) entry carries nothing: no 0·z term is formed,
-// which would turn an infinite z into NaN.
-void Ic0Preconditioner::apply(std::span<const Real> r,
-                              std::span<Real> out) const {
-  PPDL_REQUIRE(static_cast<Index>(r.size()) == l_.n &&
-                   static_cast<Index>(out.size()) == l_.n,
-               "IC0 apply: size mismatch");
-  const Index* rp = l_.row_ptr.data();
-  const Index* ci = l_.col_idx.data();
-  const Real* lv = l_.values.data();
-  // Forward solve L y = r; `prev` holds y[i−1].
-  Real prev = 0.0;
-  for (Index i = 0; i < l_.n; ++i) {
-    Real acc = r[static_cast<std::size_t>(i)];
-    const Index beg = rp[i];
-    const Index diag = rp[i + 1] - 1;
-    const bool carried = diag > beg && ci[diag - 1] == i - 1;
-    const Index stop = carried ? diag - 1 : diag;
-    for (Index k = beg; k < stop; ++k) {
-      acc -= lv[k] * out[static_cast<std::size_t>(ci[k])];
+  // Each row's level, and how often it occurs as a strictly-lower column
+  // (its upper entry count).
+  std::vector<Index> level(nu, 0);
+  std::vector<Index> upper(nu, 0);
+  Index levels = 0;
+  for (Index i = 0; i < n; ++i) {
+    Index li = 0;
+    for (Index k = rp[i]; k < rp[i + 1] - 1; ++k) {
+      li = std::max(li, level.data()[ci[k]] + 1);
+      ++upper.data()[ci[k]];
     }
-    if (carried) {
-      acc -= lv[diag - 1] * prev;
-    }
-    prev = acc / lv[diag];
-    out[static_cast<std::size_t>(i)] = prev;
+    level.data()[i] = li;
+    levels = std::max(levels, li + 1);
   }
-  // Backward solve Lᵀ z = y (in place on out, scatter form); `carry` holds
-  // row i+1's pending update L(i+1, i)·z[i+1] to out[i].
-  Real carry = 0.0;
-  bool carrying = false;
-  for (Index i = l_.n - 1; i >= 0; --i) {
-    const Index beg = rp[i];
-    const Index diag = rp[i + 1] - 1;
-    Real yi = out[static_cast<std::size_t>(i)];
-    if (carrying) {
-      yi -= carry;
-    }
-    const Real zi = yi / lv[diag];
-    out[static_cast<std::size_t>(i)] = zi;
-    carrying = diag > beg && ci[diag - 1] == i - 1;
-    const Index stop = carrying ? diag - 1 : diag;
-    for (Index k = beg; k < stop; ++k) {
-      out[static_cast<std::size_t>(ci[k])] -= lv[k] * zi;
-    }
-    if (carrying) {
-      carry = lv[diag - 1] * zi;
+
+  // Counting sort of the rows by level, ascending within a level; `pos`
+  // is each row's position.
+  out.level_ptr.assign(static_cast<std::size_t>(levels) + 1, 0);
+  Index* level_ptr = out.level_ptr.data();
+  for (Index i = 0; i < n; ++i) {
+    ++level_ptr[level.data()[i] + 1];
+  }
+  for (Index k = 0; k < levels; ++k) {
+    level_ptr[k + 1] += level_ptr[k];
+  }
+  out.row.resize(nu);
+  std::vector<Index> pos(std::move(level));
+  {
+    std::vector<Index> cursor(level_ptr, level_ptr + levels);
+    for (Index i = 0; i < n; ++i) {
+      const Index p = cursor.data()[pos.data()[i]]++;
+      out.row.data()[p] = i;
+      pos.data()[i] = p;
     }
   }
+
+  // Pivots and entry counts by position, then offsets.
+  out.diag.resize(nu);
+  out.lower_ptr.assign(nu + 1, 0);
+  out.upper_ptr.assign(nu + 1, 0);
+  Index* lower_ptr = out.lower_ptr.data();
+  Index* upper_ptr = out.upper_ptr.data();
+  for (Index i = 0; i < n; ++i) {
+    const Index p = pos.data()[i];
+    out.diag.data()[p] = lv[rp[i + 1] - 1];
+    lower_ptr[p + 1] = rp[i + 1] - 1 - rp[i];
+    upper_ptr[p + 1] = upper.data()[i];
+  }
+  for (Index p = 0; p < n; ++p) {
+    lower_ptr[p + 1] += lower_ptr[p];
+    upper_ptr[p + 1] += upper_ptr[p];
+  }
+
+  // Lower rows copy as they are; `upper` turns from a count into the
+  // row's fill cursor. Upper rows then fill from rows descending, so each
+  // lists its entries by descending row.
+  out.lower_col.resize(off_diagonal);
+  out.lower_val.resize(off_diagonal);
+  for (Index i = 0; i < n; ++i) {
+    const Index p = pos.data()[i];
+    Index w = lower_ptr[p];
+    for (Index k = rp[i]; k < rp[i + 1] - 1; ++k, ++w) {
+      out.lower_col.data()[w] = ci[k];
+      out.lower_val.data()[w] = lv[k];
+    }
+    upper.data()[i] = upper_ptr[p];
+  }
+  out.upper_col.resize(off_diagonal);
+  out.upper_val.resize(off_diagonal);
+  for (Index j = n - 1; j >= 0; --j) {
+    for (Index k = rp[j]; k < rp[j + 1] - 1; ++k) {
+      const Index at = upper.data()[ci[k]]++;
+      out.upper_col.data()[at] = j;
+      out.upper_val.data()[at] = lv[k];
+    }
+  }
+  return out;
 }
+
+}  // namespace detail
 
 namespace {
 
-// Groups rows into dependency levels given level[i] per row. Returns
-// (level_ptr, rows): rows[level_ptr[k]..level_ptr[k+1]) is level k, row
-// indices ascending within a level. Pure in the factor structure — never
-// depends on thread count.
-void group_levels(const std::vector<Index>& level, Index n,
-                  std::vector<Index>* level_ptr, std::vector<Index>* rows) {
-  if (n == 0) {
-    level_ptr->assign(1, 0);
-    rows->clear();
-    return;
+// The sweeps over positions [begin, end). Each row performs the natural-order
+// solve's operations in their order: the forward gather subtracts L(i, j)·y[j]
+// over ascending j, then divides; the backward pull subtracts L(j, i)·z[j]
+// over descending j — the order in which the scatter form's rows j > i
+// update out[i] — then divides. `r` may alias `out`.
+void forward_rows(const detail::LevelOrderedIc0& l, Index begin, Index end,
+                  const Real* r, Real* out) {
+  const Index* row = l.row.data();
+  const Index* ptr = l.lower_ptr.data();
+  const Index* col = l.lower_col.data();
+  const Real* val = l.lower_val.data();
+  const Real* diag = l.diag.data();
+  for (Index p = begin; p < end; ++p) {
+    const Index i = row[p];
+    Real acc = r[i];
+    for (Index k = ptr[p]; k < ptr[p + 1]; ++k) {
+      acc -= val[k] * out[col[k]];
+    }
+    out[i] = acc / diag[p];
   }
-  Index max_level = 0;
-  for (Index i = 0; i < n; ++i) {
-    max_level = std::max(max_level, level[static_cast<std::size_t>(i)]);
-  }
-  level_ptr->assign(static_cast<std::size_t>(max_level) + 2, 0);
-  for (Index i = 0; i < n; ++i) {
-    ++(*level_ptr)[static_cast<std::size_t>(level[static_cast<std::size_t>(i)]) +
-                   1];
-  }
-  for (std::size_t k = 1; k < level_ptr->size(); ++k) {
-    (*level_ptr)[k] += (*level_ptr)[k - 1];
-  }
-  rows->resize(static_cast<std::size_t>(n));
-  std::vector<Index> cursor(level_ptr->begin(), level_ptr->end() - 1);
-  for (Index i = 0; i < n; ++i) {
-    const auto lv = static_cast<std::size_t>(level[static_cast<std::size_t>(i)]);
-    (*rows)[static_cast<std::size_t>(cursor[lv]++)] = i;
+}
+
+void backward_rows(const detail::LevelOrderedIc0& l, Index begin, Index end,
+                   Real* v) {
+  const Index* row = l.row.data();
+  const Index* ptr = l.upper_ptr.data();
+  const Index* col = l.upper_col.data();
+  const Real* val = l.upper_val.data();
+  const Real* diag = l.diag.data();
+  for (Index p = end - 1; p >= begin; --p) {
+    const Index i = row[p];
+    Real acc = v[i];
+    for (Index k = ptr[p]; k < ptr[p + 1]; ++k) {
+      acc -= val[k] * v[col[k]];
+    }
+    v[i] = acc / diag[p];
   }
 }
 
 }  // namespace
 
+Ic0Preconditioner::Ic0Preconditioner(const CsrMatrix& a)
+    : l_(detail::build_level_ordered_ic0(a)) {}
+
+// One pass over all positions per sweep: ascending positions run the levels
+// in order, descending ones run them in reverse.
+void Ic0Preconditioner::apply(std::span<const Real> r,
+                              std::span<Real> out) const {
+  PPDL_REQUIRE(static_cast<Index>(r.size()) == l_.n &&
+                   static_cast<Index>(out.size()) == l_.n,
+               "IC0 apply: size mismatch");
+  forward_rows(l_, 0, l_.n, r.data(), out.data());
+  backward_rows(l_, 0, l_.n, out.data());
+}
+
 LevelScheduledIc0Preconditioner::LevelScheduledIc0Preconditioner(
     const CsrMatrix& a, bool use_rcm) {
   PPDL_REQUIRE(a.rows() == a.cols(), "IC0 needs a square matrix");
-  const Index n = a.rows();
-  if (use_rcm && n > 0) {
+  if (use_rcm && a.rows() > 0) {
     perm_ = rcm_ordering(a);
-    l_ = detail::build_ic0_factor(a.permuted_symmetric(perm_));
+    l_ = detail::build_level_ordered_ic0(a.permuted_symmetric(perm_));
   } else {
-    l_ = detail::build_ic0_factor(a);
+    l_ = detail::build_level_ordered_ic0(a);
   }
-
-  // Lᵀ view of the strictly-lower entries for the backward pull solve.
-  // Filling row-descending gives each column its entries by DESCENDING row
-  // index — the exact order the serial scatter solve subtracts them in.
-  t_row_ptr_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (Index i = 0; i < n; ++i) {
-    const Index beg = l_.row_ptr[static_cast<std::size_t>(i)];
-    const Index end = l_.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (Index k = beg; k < end - 1; ++k) {
-      ++t_row_ptr_[static_cast<std::size_t>(
-                       l_.col_idx[static_cast<std::size_t>(k)]) +
-                   1];
-    }
-  }
-  for (Index c = 0; c < n; ++c) {
-    t_row_ptr_[static_cast<std::size_t>(c) + 1] +=
-        t_row_ptr_[static_cast<std::size_t>(c)];
-  }
-  t_col_idx_.resize(static_cast<std::size_t>(t_row_ptr_.back()));
-  t_values_.resize(static_cast<std::size_t>(t_row_ptr_.back()));
-  {
-    std::vector<Index> cursor(t_row_ptr_.begin(), t_row_ptr_.end() - 1);
-    for (Index i = n - 1; i >= 0; --i) {
-      const Index beg = l_.row_ptr[static_cast<std::size_t>(i)];
-      const Index end = l_.row_ptr[static_cast<std::size_t>(i) + 1];
-      for (Index k = beg; k < end - 1; ++k) {
-        const auto c = static_cast<std::size_t>(
-            l_.col_idx[static_cast<std::size_t>(k)]);
-        const auto pos = static_cast<std::size_t>(cursor[c]++);
-        t_col_idx_[pos] = i;
-        t_values_[pos] = l_.values[static_cast<std::size_t>(k)];
-      }
-    }
-  }
-
-  // Dependency levels. Forward: row i reads out[j] for each strictly-lower
-  // column j in its L row. Backward: row i reads z[j] for each j > i with
-  // L(j, i) ≠ 0, i.e. its Lᵀ row.
-  std::vector<Index> level(static_cast<std::size_t>(n), 0);
-  for (Index i = 0; i < n; ++i) {
-    const Index beg = l_.row_ptr[static_cast<std::size_t>(i)];
-    const Index end = l_.row_ptr[static_cast<std::size_t>(i) + 1];
-    Index lv = 0;
-    for (Index k = beg; k < end - 1; ++k) {
-      const auto j =
-          static_cast<std::size_t>(l_.col_idx[static_cast<std::size_t>(k)]);
-      lv = std::max(lv, level[j] + 1);
-    }
-    level[static_cast<std::size_t>(i)] = lv;
-  }
-  group_levels(level, n, &fwd_level_ptr_, &fwd_rows_);
-
-  std::fill(level.begin(), level.end(), Index{0});
-  for (Index i = n - 1; i >= 0; --i) {
-    const Index beg = t_row_ptr_[static_cast<std::size_t>(i)];
-    const Index end = t_row_ptr_[static_cast<std::size_t>(i) + 1];
-    Index lv = 0;
-    for (Index k = beg; k < end; ++k) {
-      const auto j =
-          static_cast<std::size_t>(t_col_idx_[static_cast<std::size_t>(k)]);
-      lv = std::max(lv, level[j] + 1);
-    }
-    level[static_cast<std::size_t>(i)] = lv;
-  }
-  group_levels(level, n, &bwd_level_ptr_, &bwd_rows_);
-
   obs::count("precond.ic0_level.builds");
-  obs::gauge("precond.ic0_level.levels_forward",
-             static_cast<Real>(forward_level_count()));
-  obs::gauge("precond.ic0_level.levels_backward",
-             static_cast<Real>(backward_level_count()));
-}
-
-void LevelScheduledIc0Preconditioner::solve_in_place(std::span<Real> v) const {
-  // Forward solve L y = r: within a level every row is independent; the
-  // per-row accumulation is the serial forward loop verbatim, so the result
-  // is bit-identical to Ic0Preconditioner::apply for any thread count.
-  const auto fwd_levels = static_cast<std::size_t>(forward_level_count());
-  for (std::size_t lv = 0; lv < fwd_levels; ++lv) {
-    const Index lbeg = fwd_level_ptr_[lv];
-    const Index lend = fwd_level_ptr_[lv + 1];
-    parallel::for_range(lend - lbeg, kLevelGrain, [&](Index begin, Index end) {
-      for (Index p = begin; p < end; ++p) {
-        const auto i = static_cast<std::size_t>(
-            fwd_rows_[static_cast<std::size_t>(lbeg + p)]);
-        Real acc = v[i];
-        const Index beg = l_.row_ptr[i];
-        const Index rend = l_.row_ptr[i + 1];
-        for (Index k = beg; k < rend - 1; ++k) {
-          acc -= l_.values[static_cast<std::size_t>(k)] *
-                 v[static_cast<std::size_t>(
-                     l_.col_idx[static_cast<std::size_t>(k)])];
-        }
-        v[i] = acc / l_.values[static_cast<std::size_t>(rend - 1)];
-      }
-    });
-  }
-  // Backward solve Lᵀ z = y, pull form over the Lᵀ view. The serial scatter
-  // solve leaves out[i] = y[i] − Σ_{j>i, desc} L(j,i)·z[j] at the moment row
-  // i divides; the Lᵀ rows store exactly those (j, L(j,i)) pairs in the same
-  // descending-j order, so each row replays the identical subtraction
-  // sequence — bit-identical output again.
-  const auto bwd_levels = static_cast<std::size_t>(backward_level_count());
-  for (std::size_t lv = 0; lv < bwd_levels; ++lv) {
-    const Index lbeg = bwd_level_ptr_[lv];
-    const Index lend = bwd_level_ptr_[lv + 1];
-    parallel::for_range(lend - lbeg, kLevelGrain, [&](Index begin, Index end) {
-      for (Index p = begin; p < end; ++p) {
-        const auto i = static_cast<std::size_t>(
-            bwd_rows_[static_cast<std::size_t>(lbeg + p)]);
-        Real acc = v[i];
-        const Index beg = t_row_ptr_[i];
-        const Index rend = t_row_ptr_[i + 1];
-        for (Index k = beg; k < rend; ++k) {
-          acc -= t_values_[static_cast<std::size_t>(k)] *
-                 v[static_cast<std::size_t>(
-                     t_col_idx_[static_cast<std::size_t>(k)])];
-        }
-        const auto diag =
-            static_cast<std::size_t>(l_.row_ptr[i + 1] - 1);
-        v[i] = acc / l_.values[diag];
-      }
-    });
-  }
+  obs::gauge("precond.ic0_level.levels", static_cast<Real>(level_count()));
 }
 
 void LevelScheduledIc0Preconditioner::apply(std::span<const Real> r,
@@ -422,31 +344,47 @@ void LevelScheduledIc0Preconditioner::apply(std::span<const Real> r,
                    static_cast<Index>(out.size()) == l_.n,
                "IC0 apply: size mismatch");
   obs::count("precond.ic0_level.applies");
-  obs::gauge("precond.ic0_level.levels_forward",
-             static_cast<Real>(forward_level_count()));
-  obs::gauge("precond.ic0_level.levels_backward",
-             static_cast<Real>(backward_level_count()));
+  obs::gauge("precond.ic0_level.levels", static_cast<Real>(level_count()));
   const Index n = l_.n;
-  if (perm_.empty()) {
-    std::copy(r.begin(), r.end(), out.begin());
-    solve_in_place(out);
-    return;
+  const Real* src = r.data();
+  Real* dst = out.data();
+  if (!perm_.empty()) {
+    // Permuted factor: solve the RCM-ordered system, conjugated by P.
+    scratch_.resize(static_cast<std::size_t>(n));
+    parallel::for_range(n, kVecGrain, [&](Index begin, Index end) {
+      for (Index i = begin; i < end; ++i) {
+        scratch_[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
+            r[static_cast<std::size_t>(i)];
+      }
+    });
+    src = scratch_.data();
+    dst = scratch_.data();
   }
-  // Permuted factor: solve the RCM-ordered system, conjugated by P.
-  scratch_.resize(static_cast<std::size_t>(n));
-  parallel::for_range(n, kVecGrain, [&](Index begin, Index end) {
-    for (Index i = begin; i < end; ++i) {
-      scratch_[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
-          r[static_cast<std::size_t>(i)];
-    }
-  });
-  solve_in_place(scratch_);
-  parallel::for_range(n, kVecGrain, [&](Index begin, Index end) {
-    for (Index i = begin; i < end; ++i) {
-      out[static_cast<std::size_t>(i)] =
-          scratch_[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
-    }
-  });
+  // Rows of one level never read each other, so each level's positions
+  // split across threads; the row arithmetic is Ic0Preconditioner's.
+  const Index levels = level_count();
+  for (Index k = 0; k < levels; ++k) {
+    const Index lbeg = l_.level_ptr[static_cast<std::size_t>(k)];
+    const Index lend = l_.level_ptr[static_cast<std::size_t>(k) + 1];
+    parallel::for_range(lend - lbeg, kLevelGrain, [&](Index begin, Index end) {
+      forward_rows(l_, lbeg + begin, lbeg + end, src, dst);
+    });
+  }
+  for (Index k = levels - 1; k >= 0; --k) {
+    const Index lbeg = l_.level_ptr[static_cast<std::size_t>(k)];
+    const Index lend = l_.level_ptr[static_cast<std::size_t>(k) + 1];
+    parallel::for_range(lend - lbeg, kLevelGrain, [&](Index begin, Index end) {
+      backward_rows(l_, lbeg + begin, lbeg + end, dst);
+    });
+  }
+  if (!perm_.empty()) {
+    parallel::for_range(n, kVecGrain, [&](Index begin, Index end) {
+      for (Index i = begin; i < end; ++i) {
+        out[static_cast<std::size_t>(i)] =
+            scratch_[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])];
+      }
+    });
+  }
 }
 
 ChebyshevPreconditioner::ChebyshevPreconditioner(const CsrMatrix& a,

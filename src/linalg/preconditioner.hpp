@@ -4,15 +4,19 @@
 // (zero fill-in incomplete Cholesky) cuts iteration counts several-fold on
 // large meshes — this is the default for the conventional-planner analysis.
 //
-// The serial IC(0) triangular solves are a row-to-row dependency chain, so
-// two parallel-friendly members complete the family:
-//   * ic0-level — the same IC(0) factor, but the forward/backward solves are
-//     partitioned into dependency levels; rows within a level are
-//     independent and run through common/parallel. Output is bit-identical
-//     to the serial solves for any thread count.
+// IC(0)'s triangular sweeps visit rows in dependency-level order: rows in one
+// level do not read each other, so their divisions overlap instead of
+// forming one chain. Each row still performs the natural-order sweeps'
+// operations in their order, so the output bits are those of the plain
+// gather/scatter solves. Two more members exist for thread scaling:
+//   * ic0-level — the same sweeps with each level split across threads
+//     through common/parallel, on the IC(0) factor of the RCM-permuted
+//     matrix by default (numerically a different preconditioner from ic0).
+//     It loses to serial ic0 at 1 and at 4 threads: on respin-large's
+//     matrix at 4 threads one apply takes about 6–7 ms against ic0's
+//     0.6–1.0 ms, because a level's rows cost less than its dispatch.
 //   * chebyshev — a fixed-degree Chebyshev polynomial in A. Pure SpMV plus
-//     vector kernels, so it scales exactly as well as the rest of the CG
-//     iteration; no triangular solve at all.
+//     vector kernels; no triangular solve at all.
 #pragma once
 
 #include <memory>
@@ -73,11 +77,10 @@ class JacobiPreconditioner final : public Preconditioner {
 
 namespace detail {
 
-/// Zero fill-in incomplete Cholesky factor shared by the serial and
-/// level-scheduled preconditioners: A ≈ L Lᵀ with the sparsity of tril(A),
-/// stored as lower-triangular CSR with each row sorted by column and the
-/// diagonal entry last. Breakdown (non-positive pivot) is repaired by
-/// diagonal shifting; PreconditionerError when shifting cannot save it.
+/// Zero fill-in incomplete Cholesky factor: A ≈ L Lᵀ with the sparsity of
+/// tril(A), stored as lower-triangular CSR with each row sorted by column
+/// and the diagonal entry last. Breakdown (non-positive pivot) is repaired
+/// by diagonal shifting; PreconditionerError when shifting cannot save it.
 struct Ic0Factor {
   Index n = 0;
   std::vector<Index> row_ptr;
@@ -87,9 +90,42 @@ struct Ic0Factor {
 
 Ic0Factor build_ic0_factor(const CsrMatrix& a);
 
+/// An Ic0Factor laid out for its two sweeps. Row i's level is 1 + the
+/// highest level among the columns of its strictly-lower entries (0 when it
+/// has none), so no two rows of one level read each other. Positions
+/// p = 0..n−1 list the rows level by level, ascending within a level, and
+/// each position's entries are packed in that order:
+///   * lower: L's strictly-lower entries of row[p], columns ascending — the
+///     forward gather's order;
+///   * upper: the entries (j, L(j, row[p])) with j > row[p], j descending —
+///     the order the backward scatter subtracts them from row[p].
+/// Every j in row[p]'s upper entries has a higher level than row[p], so the
+/// backward sweep may run the levels in reverse.
+struct LevelOrderedIc0 {
+  Index n = 0;
+  /// Level k is positions [level_ptr[k], level_ptr[k+1]).
+  std::vector<Index> level_ptr;
+  std::vector<Index> row;  ///< the row solved at each position
+  std::vector<Real> diag;  ///< L(row[p], row[p])
+  std::vector<Index> lower_ptr;
+  std::vector<Index> lower_col;
+  std::vector<Real> lower_val;
+  std::vector<Index> upper_ptr;
+  std::vector<Index> upper_col;
+  std::vector<Real> upper_val;
+
+  Index level_count() const {
+    return static_cast<Index>(level_ptr.size()) - 1;
+  }
+};
+
+/// IC(0) of `a` (build_ic0_factor), in level order. O(nnz) past the factor.
+LevelOrderedIc0 build_level_ordered_ic0(const CsrMatrix& a);
+
 }  // namespace detail
 
-/// Zero fill-in incomplete Cholesky with serial triangular solves.
+/// Zero fill-in incomplete Cholesky. Output is bitwise that of the
+/// natural-order gather (forward) and scatter (backward) solves.
 class Ic0Preconditioner final : public Preconditioner {
  public:
   explicit Ic0Preconditioner(const CsrMatrix& a);
@@ -97,17 +133,13 @@ class Ic0Preconditioner final : public Preconditioner {
   const char* name() const override { return "ic0"; }
 
  private:
-  detail::Ic0Factor l_;
+  detail::LevelOrderedIc0 l_;
 };
 
-/// IC(0) with level-scheduled triangular solves: rows are grouped into
-/// dependency levels (level(i) = 1 + max level of the rows it reads), rows
-/// within a level are independent and execute via parallel::for_range. Each
-/// row accumulates in exactly the order the serial solve uses — including
-/// the backward substitution, which is re-expressed as a "pull" over the
-/// transposed factor with columns enumerated in descending order to replay
-/// the serial scatter-update order — so the output is bit-identical to
-/// Ic0Preconditioner on the same matrix, for any thread count.
+/// IC(0) whose sweeps split each dependency level across threads through
+/// parallel::for_range. Rows and levels are Ic0Preconditioner's, so the
+/// output is bit-identical to Ic0Preconditioner on the same matrix, for any
+/// thread count.
 ///
 /// With `use_rcm` (default) the matrix is first symmetrically permuted by
 /// reverse Cuthill–McKee, which on mesh graphs trades many narrow levels
@@ -124,31 +156,13 @@ class LevelScheduledIc0Preconditioner final : public Preconditioner {
   void apply(std::span<const Real> r, std::span<Real> out) const override;
   const char* name() const override { return "ic0-level"; }
 
-  /// Dependency-level counts of the triangular solves (diagnostics; the
-  /// parallel speedup ceiling is n / levels rows per region).
-  Index forward_level_count() const {
-    return static_cast<Index>(fwd_level_ptr_.size()) - 1;
-  }
-  Index backward_level_count() const {
-    return static_cast<Index>(bwd_level_ptr_.size()) - 1;
-  }
+  /// Dependency levels of the sweeps (diagnostics; the parallel speedup
+  /// ceiling is n / levels rows per region).
+  Index level_count() const { return l_.level_count(); }
 
  private:
-  void solve_in_place(std::span<Real> v) const;
-
-  detail::Ic0Factor l_;
+  detail::LevelOrderedIc0 l_;
   std::vector<Index> perm_;  ///< old→new RCM permutation; empty = identity
-  // Lᵀ view for the backward pull solve: for each row i the entries
-  // (j, L(j, i)) with j > i, stored by DESCENDING j (serial-order replay).
-  std::vector<Index> t_row_ptr_;
-  std::vector<Index> t_col_idx_;
-  std::vector<Real> t_values_;
-  // Rows grouped by dependency level: rows_[level_ptr_[k]..level_ptr_[k+1])
-  // are level k, ascending row index within a level.
-  std::vector<Index> fwd_level_ptr_;
-  std::vector<Index> fwd_rows_;
-  std::vector<Index> bwd_level_ptr_;
-  std::vector<Index> bwd_rows_;
   mutable std::vector<Real> scratch_;  ///< permuted work vector
 };
 

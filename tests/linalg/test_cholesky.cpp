@@ -70,7 +70,9 @@ TEST(SparseCholesky, SolvesMeshSystem) {
   const SparseCholesky chol(a);
   const std::vector<Real> x = chol.solve(b);
   std::vector<Real> residual = a.multiply(x);
-  axpy(-1.0, b, residual);
+  for (std::size_t i = 0; i < residual.size(); ++i) {
+    residual[i] -= b[i];
+  }
   EXPECT_LT(norm2(residual) / norm2(b), 1e-12);
 }
 

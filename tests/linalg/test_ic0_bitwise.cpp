@@ -1,10 +1,16 @@
-// Bit-identity of Ic0Preconditioner::apply against the plain gather/scatter
-// sweeps, which store every solved entry to `out` and read it back. apply
-// carries the (i, i−1) term in a register instead; it must not move a bit
-// on any input — natural and RCM orderings (rows with and without an
-// (i, i−1) entry), a diagonal-only factor, n = 0 and n = 1, and
-// right-hand sides holding ±inf and NaN. ctest runs this suite as
-// linalg_ic0_bitwise (label determinism), so the sanitizer jobs see it.
+// Bit-identity of Ic0Preconditioner::apply against the plain sweeps in
+// natural row order: a forward gather that stores each solved entry to
+// `out`, then a backward scatter in place. apply visits the rows by
+// dependency level instead — forward through level-packed L rows, backward
+// through the levels in reverse, pulling each row's updates from an Lᵀ view
+// stored by descending row. Each row must still perform the natural sweeps'
+// operations in their order, so no bit may move on any input: natural and
+// RCM orderings (rows with and without an (i, i−1) entry), a generated
+// replica's reduced matrix (hundreds of rows per level), a red-black mesh
+// (two levels, no (i, i−1) entry anywhere), a diagonal-only factor, n = 0
+// and n = 1, and right-hand sides holding ±inf and NaN. ctest runs this
+// suite as linalg_ic0_bitwise (label determinism), so the sanitizer jobs
+// see it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/mna.hpp"
+#include "core/benchmarks.hpp"
 #include "linalg/ordering.hpp"
 #include "linalg/preconditioner.hpp"
 #include "support/random_grid.hpp"
@@ -129,6 +137,43 @@ TEST(Ic0ApplyBitwise, RandomGridsRcmOrder) {
     ASSERT_GT(with, 0);
     ASSERT_GT(without, 0);
     expect_apply_bitwise(a, testsupport::random_vector(a.rows(), c.seed + 2));
+  }
+}
+
+TEST(Ic0ApplyBitwise, GeneratedReplicaReducedMatrix) {
+  core::BenchmarkOptions opts;
+  opts.scale = 0.02;
+  const analysis::MnaSystem sys =
+      analysis::assemble_mna(core::make_benchmark("ibmpg2", opts).grid);
+  const CsrMatrix& a = sys.g_reduced;
+  const Index levels = detail::build_level_ordered_ic0(a).level_count();
+  ASSERT_GT(a.rows(), 20 * levels) << a.rows() << " rows, " << levels
+                                   << " levels";
+  expect_apply_bitwise(a, sys.rhs);
+  expect_apply_bitwise(a, testsupport::random_vector(a.rows(), 5));
+}
+
+TEST(Ic0ApplyBitwise, RedBlackMeshWithoutSubdiagonal) {
+  // Red nodes (i + j even) first, black ones after: every edge joins a red
+  // and a black node, so the forward sweep has two levels and no row has an
+  // (i, i−1) entry.
+  for (const auto& c : kCases) {
+    const CsrMatrix base = testsupport::random_grid_matrix(c);
+    std::vector<Index> perm(static_cast<std::size_t>(base.rows()));
+    Index next = 0;
+    for (const Index colour : {0, 1}) {
+      for (Index i = 0; i < c.rows; ++i) {
+        for (Index j = 0; j < c.cols; ++j) {
+          if ((i + j) % 2 == colour) {
+            perm[static_cast<std::size_t>(i * c.cols + j)] = next++;
+          }
+        }
+      }
+    }
+    const CsrMatrix a = base.permuted_symmetric(perm);
+    ASSERT_EQ(carried_rows(a).first, 0);
+    ASSERT_EQ(detail::build_level_ordered_ic0(a).level_count(), 2);
+    expect_apply_bitwise(a, testsupport::random_vector(a.rows(), c.seed + 3));
   }
 }
 

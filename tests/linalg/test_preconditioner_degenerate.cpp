@@ -53,10 +53,9 @@ TEST(PrecondDegenerate, DiagonalOnlyMatrixIsOneLevelDeep) {
       EXPECT_NEAR(xi, 1.0, 1e-10) << to_string(kind);
     }
   }
-  // No off-diagonal dependencies -> a single dependency level each way.
+  // No off-diagonal dependencies -> a single dependency level.
   const LevelScheduledIc0Preconditioner p(a);
-  EXPECT_EQ(p.forward_level_count(), 1);
-  EXPECT_EQ(p.backward_level_count(), 1);
+  EXPECT_EQ(p.level_count(), 1);
 }
 
 TEST(PrecondDegenerate, DisconnectedComponentsSolve) {

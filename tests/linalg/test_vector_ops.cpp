@@ -30,13 +30,5 @@ TEST(VectorOps, NormOfEmptyIsZero) {
   EXPECT_DOUBLE_EQ(norm2(x), 0.0);
 }
 
-TEST(VectorOps, Axpy) {
-  const std::vector<Real> x{1.0, 2.0};
-  std::vector<Real> y{10.0, 20.0};
-  axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 12.0);
-  EXPECT_DOUBLE_EQ(y[1], 24.0);
-}
-
 }  // namespace
 }  // namespace ppdl::linalg

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "analysis/ir_solver.hpp"
@@ -141,6 +144,22 @@ TEST(WidthOptimizer, InvalidOptionsThrow) {
 
 // --- tapered sizing against an O(n·window) reference ------------------------
 
+/// Stripe grouping as a std::map keyed by coordinate: keys that compare
+/// equal (+0.0 and −0.0) share one entry, keyed by the first one inserted.
+std::map<Real, std::vector<Index>> map_stripes(const grid::PowerGrid& pg,
+                                               Index layer) {
+  const bool horizontal = pg.layer(layer).horizontal;
+  std::map<Real, std::vector<Index>> stripes;
+  for (Index i = 0; i < pg.branch_count(); ++i) {
+    const grid::Branch& b = pg.branch(i);
+    if (b.kind == grid::BranchKind::kWire && b.layer == layer) {
+      const grid::Point c = pg.branch_center(i);
+      stripes[horizontal ? c.y : c.x].push_back(i);
+    }
+  }
+  return stripes;
+}
+
 /// kProportional with per-stripe tapering as a direct transcription: stripes
 /// sorted by comparing branch_center()s, and each segment's target the
 /// running std::max from 0.0 over its whole window.
@@ -159,7 +178,7 @@ Index reference_update(grid::PowerGrid& pg,
   if (state.stripes.empty()) {
     for (Index layer = 0; layer < pg.layer_count(); ++layer) {
       const bool horizontal = pg.layer(layer).horizontal;
-      for (auto& [coord, branches] : grid::stripes_of_layer(pg, layer)) {
+      for (auto& [coord, branches] : map_stripes(pg, layer)) {
         std::sort(branches.begin(), branches.end(), [&](Index a, Index b) {
           const grid::Point ca = pg.branch_center(a);
           const grid::Point cb = pg.branch_center(b);
@@ -330,6 +349,124 @@ TEST(WidthUpdateBitwise, GeneratedGridMatchesWindowScanReference) {
     WidthUpdateOptions opts = chain_options(limit);
     expect_same_sizing(pg, res, opts);
     opts.taper_window_fraction = 0.6;
+    expect_same_sizing(pg, res, opts);
+  }
+}
+
+/// check_design_rules' stripe checks (spacing, Wcore) over map_stripes.
+std::vector<std::string> map_stripe_violations(const grid::PowerGrid& pg,
+                                               const grid::DesignRules& rules) {
+  std::vector<std::string> out;
+  for (Index l = 0; l < pg.layer_count(); ++l) {
+    const auto stripes = map_stripes(pg, l);
+    if (stripes.empty()) {
+      continue;
+    }
+    const Real wcore = pg.layer(l).horizontal ? pg.die().height()
+                                              : pg.die().width();
+    Real budget = 0.0;
+    Real prev_coord = 0.0;
+    Real prev_half = 0.0;
+    bool first = true;
+    for (const auto& [coord, branches] : stripes) {
+      Real width = 0.0;
+      for (const Index bi : branches) {
+        width = std::max(width, pg.branch(bi).width);
+      }
+      budget += width + rules.min_spacing;
+      const Real gap = (coord - width / 2) - (prev_coord + prev_half);
+      if (!first && gap < rules.min_spacing - 1e-9) {
+        std::ostringstream os;
+        os << "layer " << pg.layer(l).name << " stripes at " << prev_coord
+           << " and " << coord << " spaced " << gap << " < "
+           << rules.min_spacing;
+        out.push_back(os.str());
+      }
+      prev_coord = coord;
+      prev_half = width / 2;
+      first = false;
+    }
+    if (budget > wcore + 1e-9) {
+      std::ostringstream os;
+      os << "layer " << pg.layer(l).name << " Σ(w+s) = " << budget
+         << " exceeds Wcore = " << wcore;
+      out.push_back(os.str());
+    }
+  }
+  return out;
+}
+
+/// Stripes at −0.0 and +0.0 (one stripe, keyed by its first wire's sign),
+/// wires added out of coordinate order, a zero wire that follows another
+/// stripe's wire and one that follows a zero wire, and a parallel copy, on
+/// one horizontal and one vertical layer.
+grid::PowerGrid signed_zero_grid() {
+  grid::PowerGrid pg;
+  pg.set_name("signed-zero");
+  pg.set_die(grid::Rect{-20.0, -20.0, 20.0, 20.0});
+  const Index h = pg.add_layer(grid::Layer{"M1", true, 0.02, 1.0});
+  const Index v = pg.add_layer(grid::Layer{"M2", false, 0.02, 1.0});
+  const auto wire = [&](Real x0, Real y0, Real x1, Real y1, Index layer,
+                        Real width) {
+    pg.add_wire(pg.add_node(grid::Point{x0, y0}, layer),
+                pg.add_node(grid::Point{x1, y1}, layer), layer, 10.0, width);
+  };
+  wire(0.0, 5.0, 10.0, 5.0, h, 1.0);
+  wire(0.0, -0.0, 10.0, -0.0, h, 1.0);  // centre y = −0.0, first at zero
+  wire(0.0, -3.0, 10.0, -3.0, h, 1.0);
+  wire(-10.0, 0.0, 0.0, 0.0, h, 2.5);   // centre y = +0.0
+  wire(10.0, -0.0, 20.0, 0.0, h, 1.0);  // −0.0 + 0.0 = +0.0
+  wire(0.0, 5.0, 10.0, 5.0, h, 4.0);    // parallel copy
+  wire(0.0, 0.0, 0.0, 10.0, v, 1.0);    // centre x = +0.0, first at zero
+  wire(7.0, 0.0, 7.0, 10.0, v, 3.0);
+  wire(-0.0, -10.0, -0.0, 0.0, v, 1.0);
+  wire(-0.0, 10.0, 0.0, 20.0, v, 1.0);
+  const Index pad = pg.add_node(grid::Point{-20.0, -20.0}, h);
+  pg.add_pad(pad, 1.8);
+  return pg;
+}
+
+TEST(WidthUpdateBitwise, StripeGroupingMatchesMapReference) {
+  for (const grid::PowerGrid& g :
+       {signed_zero_grid(), stripe_grid(),
+        testsupport::make_tiny_benchmark().grid}) {
+    for (Index l = 0; l < g.layer_count(); ++l) {
+      const std::vector<grid::Stripe> got = grid::stripes_of_layer(g, l);
+      const auto want = map_stripes(g, l);
+      SCOPED_TRACE(testing::Message() << g.name() << " layer " << l);
+      ASSERT_EQ(got.size(), want.size());
+      auto it = want.begin();
+      for (const grid::Stripe& stripe : got) {
+        EXPECT_EQ(std::memcmp(&stripe.coord, &it->first, sizeof(Real)), 0)
+            << stripe.coord << " vs " << it->first;
+        EXPECT_EQ(stripe.branches, it->second);
+        ++it;
+      }
+    }
+  }
+  const grid::PowerGrid pg = signed_zero_grid();
+  // The −0.0 key is visible: it is printed in the spacing violation.
+  ASSERT_EQ(grid::stripes_of_layer(pg, 0).size(), 3u);
+  EXPECT_TRUE(std::signbit(grid::stripes_of_layer(pg, 0)[1].coord));
+
+  for (const Real spacing : {2.0, 6.0}) {
+    grid::DesignRules rules;
+    rules.min_spacing = spacing;
+    std::vector<std::string> got;
+    for (const grid::RuleViolation& v : grid::check_design_rules(pg, rules)) {
+      if (v.type == grid::ViolationType::kSpacing ||
+          v.type == grid::ViolationType::kWcore) {
+        got.push_back(v.detail);
+      }
+    }
+    EXPECT_EQ(got, map_stripe_violations(pg, rules)) << "spacing " << spacing;
+    EXPECT_FALSE(got.empty());
+  }
+
+  const analysis::IrAnalysisResult res = fabricated_analysis(pg, 9, 0.2);
+  for (const Real fraction : {0.0, 0.5}) {
+    WidthUpdateOptions opts = chain_options(0.05);
+    opts.taper_window_fraction = fraction;
     expect_same_sizing(pg, res, opts);
   }
 }
